@@ -136,71 +136,66 @@ StatusOr<std::unique_ptr<StorageEngine>> OpenOver(MemEnv* env,
   return StorageEngine::Open(opts);
 }
 
-/// WAL framing + record decode + recovery replay over hostile log bytes.
-int WalReplay(const uint8_t* data, size_t size) {
-  const Slice input(reinterpret_cast<const char*>(data), size);
-  // Phase 1: the raw input is the log file — exercises the frame scan
-  // (lengths, CRCs, torn-tail discipline).
-  {
-    MemEnv env;
-    (void)env.CreateDir("/fz");
-    (void)WriteWholeFile(&env, "/fz/wal.log", input);
-    auto wal = Wal::Open(&env, "/fz/wal.log");
-    if (wal.ok()) {
-      auto records = (*wal)->ReadAll();
-      // Replay only when every page image targets a small page id:
-      // CRC-valid records are trusted by design (the corruption model is
-      // bit rot and torn appends, which the CRC catches), so a huge page
-      // id here would just ask MemEnv for a terabyte file — harness OOM,
-      // not a decoder defect.
-      bool sane = records.ok();
-      if (records.ok()) {
-        for (const WalRecord& r : *records) {
-          if (r.type == WalRecordType::kPageImage && r.page_id > 64) {
-            sane = false;
-          }
-        }
-      }
-      if (sane) {
-        auto disk = DiskManager::Open(&env, "/fz/data.odb");
-        if (disk.ok()) (void)(*wal)->Recover(disk->get());
-      }
-    }
+/// Runs the engine's own two-file ordering and replay (Wal::Open over
+/// `wal.log` and its spare, then Recover) on hostile file contents.
+void ReplayWalFiles(const Slice& file0, const Slice& file1) {
+  MemEnv env;
+  (void)env.CreateDir("/fz");
+  (void)WriteWholeFile(&env, "/fz/wal.log", file0);
+  (void)WriteWholeFile(&env, "/fz/wal.log.1", file1);
+  auto wal = Wal::Open(&env, "/fz/wal.log");
+  if (!wal.ok()) return;
+  auto records = (*wal)->ReadAll();
+  if (!records.ok()) return;
+  // Replay only when every page image targets a small page id: CRC-valid
+  // records are trusted by design (the corruption model is bit rot and torn
+  // appends, which the CRC catches), so a huge page id here would just ask
+  // MemEnv for a terabyte file — harness OOM, not a decoder defect.
+  for (const WalRecord& r : *records) {
+    if (r.type == WalRecordType::kPageImage && r.page_id > 64) return;
   }
+  auto disk = DiskManager::Open(&env, "/fz/data.odb");
+  if (!disk.ok()) return;
+  auto stats = (*wal)->Recover(disk->get());
+  if (stats.ok()) {
+    // Recovery and ReadAll must agree on the log they saw.
+    ODE_FUZZ_REQUIRE(stats->records_scanned == records->size());
+  }
+}
+
+/// WAL framing + record decode + two-file ordering + recovery replay over
+/// hostile log bytes.  Input layout: u32 n | n bytes of `wal.log` | the
+/// rest is the spare file `wal.log.1` (n is clamped to what is there).
+int WalReplay(const uint8_t* data, size_t size) {
+  const char* bytes = reinterpret_cast<const char*>(data);
+  size_t split = 0;
+  size_t body = 0;
+  if (size >= 4) {
+    body = 4;
+    split = std::min<size_t>(DecodeFixed32(bytes), size - body);
+  }
+  // Phase 1: the raw bytes are the log files — exercises the frame scan
+  // (lengths, CRCs, torn-tail discipline) and the choice of older file.
+  ReplayWalFiles(Slice(bytes + body, split),
+                 Slice(bytes + body + split, size - body - split));
   // Phase 2: chunk the input and reframe each chunk with a CORRECT CRC so
   // the scan gets past the checksum gate and the record-level decode
   // (type, txn id, page id, zero-suppressed image length) sees hostile
-  // bytes it would otherwise never reach.
-  {
-    std::string framed;
-    size_t pos = 0;
-    int chunks = 0;
-    while (pos < size && chunks < 16) {
-      const size_t n = std::min<size_t>(size - pos, 1 + data[pos] % 96);
-      PutFixed32(&framed, static_cast<uint32_t>(n));
-      PutFixed32(&framed,
-                 crc32c::Mask(crc32c::Value(
-                     reinterpret_cast<const char*>(data) + pos, n)));
-      framed.append(reinterpret_cast<const char*>(data) + pos, n);
-      pos += n;
-      ++chunks;
-    }
-    MemEnv env;
-    (void)env.CreateDir("/fz");
-    (void)WriteWholeFile(&env, "/fz/wal.log", Slice(framed));
-    auto wal = Wal::Open(&env, "/fz/wal.log");
-    if (!wal.ok()) return 0;
-    auto records = (*wal)->ReadAll();
-    if (!records.ok()) return 0;
-    bool sane = true;
-    for (const WalRecord& r : *records) {
-      if (r.type == WalRecordType::kPageImage && r.page_id > 64) sane = false;
-    }
-    if (sane) {
-      auto disk = DiskManager::Open(&env, "/fz/data.odb");
-      if (disk.ok()) (void)(*wal)->Recover(disk->get());
-    }
+  // bytes it would otherwise never reach.  Each chunk's first byte picks
+  // its file, so both files carry hostile txn ids into the ordering.
+  std::string framed[2];
+  size_t pos = 0;
+  int chunks = 0;
+  while (pos < size && chunks < 16) {
+    const size_t n = std::min<size_t>(size - pos, 1 + data[pos] % 96);
+    std::string& out = framed[data[pos] >> 7];
+    PutFixed32(&out, static_cast<uint32_t>(n));
+    PutFixed32(&out, crc32c::Mask(crc32c::Value(bytes + pos, n)));
+    out.append(bytes + pos, n);
+    pos += n;
+    ++chunks;
   }
+  ReplayWalFiles(Slice(framed[0]), Slice(framed[1]));
   return 0;
 }
 

@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -117,6 +118,9 @@ char* BufferPool::FrameMutableData(Frame* frame) {
     epoch_dirty_list_.push_back(frame->id);
   }
   frame->dirty = true;
+  // Stamped before the caller writes through the returned pointer, so a
+  // checkpoint copy taken earlier can never be mistaken for current.
+  frame->mod_stamp = ++shard.last_mod_stamp;
   return frame->data.get();
 }
 
@@ -141,6 +145,7 @@ Status BufferPool::RestorePage(PageId id, const char* image, bool dirty) {
   std::memcpy(it->second.data.get(), image, kPageSize);
   it->second.dirty = dirty;
   it->second.epoch_dirty = false;
+  it->second.mod_stamp = ++shard.last_mod_stamp;
   return Status::OK();
 }
 
@@ -155,27 +160,49 @@ void BufferPool::CommitEpoch() {
   in_epoch_ = false;
 }
 
-Status BufferPool::FlushAll() {
+StatusOr<std::vector<PageCopy>> BufferPool::CopyDirtyPages() {
   if (in_epoch_ && !epoch_dirty_list_.empty()) {
-    return Status::FailedPrecondition("FlushAll during an open transaction");
+    return Status::FailedPrecondition(
+        "checkpoint copy during an open transaction");
   }
+  std::vector<PageCopy> copies;
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
-    for (auto& [id, frame] : shard.frames) {
+    for (const auto& [id, frame] : shard.frames) {
       if (frame.dirty) {
-        {
-          ScopedLatency timer(metrics_ != nullptr ? metrics_->page_write_ns
-                                                  : nullptr);
-          ODE_RETURN_IF_ERROR(disk_->WritePage(id, frame.data.get()));
-        }
-        if (metrics_ != nullptr) metrics_->page_writes->Increment();
-        frame.dirty = false;
-        ++shard.stats.flushes;
+        copies.push_back(PageCopy{
+            id, frame.mod_stamp, std::string(frame.data.get(), kPageSize)});
       }
     }
   }
-  return disk_->Sync();
+  // Ascending page ids turn the checkpoint write into one forward sweep.
+  std::sort(copies.begin(), copies.end(),
+            [](const PageCopy& a, const PageCopy& b) { return a.id < b.id; });
+  return copies;
+}
+
+Status BufferPool::WriteCopies(const std::vector<PageCopy>& copies) {
+  if (copies.empty()) return Status::OK();
+  for (const PageCopy& copy : copies) {
+    {
+      ScopedLatency timer(metrics_ != nullptr ? metrics_->page_write_ns
+                                              : nullptr);
+      ODE_RETURN_IF_ERROR(disk_->WritePage(copy.id, copy.image.data()));
+    }
+    if (metrics_ != nullptr) metrics_->page_writes->Increment();
+  }
+  ODE_RETURN_IF_ERROR(disk_->Sync());
+  for (const PageCopy& copy : copies) {
+    Shard& shard = ShardFor(copy.id);
+    MutexLock lock(shard.mu);
+    ++shard.stats.flushes;
+    auto it = shard.frames.find(copy.id);
+    if (it != shard.frames.end() && it->second.mod_stamp == copy.mod_stamp) {
+      it->second.dirty = false;
+    }
+  }
+  return Status::OK();
 }
 
 void BufferPool::DropAllUnpinned() {
@@ -225,8 +252,8 @@ Status BufferPool::EvictOneIfNeeded(Shard& shard) {
   // shard past capacity, the next fetch drains the whole overage here.
   while (shard.frames.size() >= shard.capacity) {
     // Scan from least recently used; skip pinned or dirty frames (dirty
-    // pages are only written by FlushAll, never by eviction).  The acquire
-    // load of pin_count pairs with the release fetch_sub in
+    // pages are only written by the checkpoint, never by eviction).  The
+    // acquire load of pin_count pairs with the release fetch_sub in
     // PageHandle::Release, so a frame observed unpinned is truly done being
     // read.
     bool evicted = false;

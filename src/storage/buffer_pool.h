@@ -6,6 +6,7 @@
 #include <functional>
 #include <list>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -88,10 +89,22 @@ struct PageHandle::Frame {
   PageId id = kInvalidPageId;
   std::unique_ptr<char[]> data;
   std::atomic<int> pin_count{0};
-  bool dirty = false;        // Modified since last flush.
+  bool dirty = false;        // Differs from the data file.
   bool epoch_dirty = false;  // Modified in the current epoch.
+  /// Shard-wide stamp of the latest modification (or abort restore): a
+  /// checkpoint marks the frame clean only if the stamp still equals the
+  /// one its copy was taken at.
+  uint64_t mod_stamp = 0;
   std::list<PageId>::iterator lru_pos;
   bool in_lru = false;
+};
+
+/// One dirty page's image, copied under the engine's exclusive apply latch so
+/// a checkpoint can write it to the data file after releasing the latch.
+struct PageCopy {
+  PageId id = kInvalidPageId;
+  uint64_t mod_stamp = 0;  ///< The frame's mod_stamp at copy time.
+  std::string image;       ///< kPageSize bytes.
 };
 
 /// Cache statistics (cumulative since construction).  Returned by value as a
@@ -107,9 +120,15 @@ struct BufferPoolStats {
 ///
 /// Policy choices, driven by the WAL design (redo logging of page
 /// after-images, no-steal for uncommitted pages):
-///  - Dirty frames are NEVER written back by eviction; only FlushAll() (the
-///    checkpoint path) writes pages.  If every frame is pinned or dirty the
-///    pool grows past its nominal capacity rather than fail.
+///  - Dirty frames are NEVER written back by eviction; only the checkpoint
+///    writes pages, in two steps.  CopyDirtyPages() runs under the engine's
+///    exclusive latch and copies every dirty frame, which stays dirty.
+///    WriteCopies() runs outside the latch: it writes the copies, fsyncs the
+///    data file, and only then marks a frame clean — and only if nothing
+///    modified it since its copy.  A frame whose image is not yet durable in
+///    the data file is therefore never evicted and re-read stale.  If every
+///    frame is pinned or dirty the pool grows past its nominal capacity
+///    rather than fail.
 ///  - An "epoch" corresponds to one transaction.  The first time a frame is
 ///    dirtied within an epoch the pre-dirty hook runs with the frame's
 ///    current contents, letting the transaction capture an undo image for
@@ -123,11 +142,14 @@ struct BufferPoolStats {
 ///    fetches of pages in different shards never contend.  Pin counts are
 ///    atomic, making handle release lock-free.
 ///  - Everything that mutates page contents or epoch state (mutable_data,
-///    BeginEpoch/CommitEpoch, RestorePage, FlushAll, DropAllUnpinned,
+///    BeginEpoch/CommitEpoch, RestorePage, CopyDirtyPages, DropAllUnpinned,
 ///    set_pre_dirty_hook) is writer-side: the caller (StorageEngine) must
 ///    ensure no reader runs concurrently, which it does with an engine-level
 ///    shared mutex.  Shard locks are still taken where those paths touch
 ///    shard structures so reader-vs-writer metadata access stays ordered.
+///  - WriteCopies() may run concurrently with readers and with a writer: it
+///    reads only its own copies and touches frames' dirty flags under the
+///    shard locks.  Callers serialize WriteCopies calls among themselves.
 class BufferPool {
  public:
   /// Called with (page id, pre-modification bytes, was already dirty from an
@@ -166,9 +188,14 @@ class BufferPool {
   /// flush).
   void CommitEpoch();
 
-  /// Writes all dirty frames to disk and clears their dirty flags.  Must not
-  /// be called mid-transaction (checked).
-  Status FlushAll();
+  /// Checkpoint step 1: copies every dirty frame's image, sorted by page id.
+  /// The frames stay dirty.  Must not be called mid-transaction (checked).
+  StatusOr<std::vector<PageCopy>> CopyDirtyPages();
+
+  /// Checkpoint step 2: writes `copies` to the data file and fsyncs it, then
+  /// marks each copied frame clean unless it was modified (or restored by
+  /// an abort) since its copy.  On error no frame is marked clean.
+  Status WriteCopies(const std::vector<PageCopy>& copies);
 
   /// Drops every unpinned frame (clean or dirty) without writing.  Used by
   /// recovery tests to force re-reads from disk.
@@ -202,6 +229,7 @@ class BufferPool {
     std::list<PageId> lru ODE_GUARDED_BY(mu);  // Front = most recently used.
     size_t capacity = 0;  // Nominal frame budget; immutable after init.
     BufferPoolStats stats ODE_GUARDED_BY(mu);
+    uint64_t last_mod_stamp ODE_GUARDED_BY(mu) = 0;  // See Frame::mod_stamp.
   };
 
   Shard& ShardFor(PageId id);

@@ -12,6 +12,9 @@
 #include <memory>
 #include <set>
 
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
+
 namespace ode {
 
 namespace {
@@ -147,7 +150,8 @@ Env* Env::Posix() {
 namespace {
 
 struct MemFileData {
-  std::string contents;
+  Mutex mu;
+  std::string contents ODE_GUARDED_BY(mu);
 };
 
 class MemFile : public File {
@@ -157,6 +161,7 @@ class MemFile : public File {
 
   Status Read(uint64_t offset, size_t n, std::string* scratch,
               Slice* result) override {
+    MutexLock lock(data_->mu);
     const std::string& c = data_->contents;
     if (offset >= c.size()) {
       *result = Slice();
@@ -169,6 +174,7 @@ class MemFile : public File {
   }
 
   Status Write(uint64_t offset, const Slice& data) override {
+    MutexLock lock(data_->mu);
     std::string& c = data_->contents;
     if (offset + data.size() > c.size()) c.resize(offset + data.size());
     std::memcpy(c.data() + offset, data.data(), data.size());
@@ -176,6 +182,7 @@ class MemFile : public File {
   }
 
   Status Append(const Slice& data) override {
+    MutexLock lock(data_->mu);
     data_->contents.append(data.data(), data.size());
     return Status::OK();
   }
@@ -183,11 +190,13 @@ class MemFile : public File {
   Status Sync() override { return Status::OK(); }
 
   Status Truncate(uint64_t size) override {
+    MutexLock lock(data_->mu);
     data_->contents.resize(size);
     return Status::OK();
   }
 
   StatusOr<uint64_t> Size() override {
+    MutexLock lock(data_->mu);
     return static_cast<uint64_t>(data_->contents.size());
   }
 
@@ -198,14 +207,16 @@ class MemFile : public File {
 }  // namespace
 
 struct MemEnv::Impl {
-  std::map<std::string, std::shared_ptr<MemFileData>> files;
-  std::set<std::string> dirs;
+  Mutex mu;
+  std::map<std::string, std::shared_ptr<MemFileData>> files ODE_GUARDED_BY(mu);
+  std::set<std::string> dirs ODE_GUARDED_BY(mu);
 };
 
 MemEnv::MemEnv() : impl_(new Impl()) {}
 MemEnv::~MemEnv() = default;
 
 StatusOr<std::unique_ptr<File>> MemEnv::OpenFile(const std::string& path) {
+  MutexLock lock(impl_->mu);
   auto it = impl_->files.find(path);
   if (it == impl_->files.end()) {
     it = impl_->files.emplace(path, std::make_shared<MemFileData>()).first;
@@ -214,10 +225,12 @@ StatusOr<std::unique_ptr<File>> MemEnv::OpenFile(const std::string& path) {
 }
 
 bool MemEnv::FileExists(const std::string& path) {
+  MutexLock lock(impl_->mu);
   return impl_->files.count(path) > 0;
 }
 
 Status MemEnv::DeleteFile(const std::string& path) {
+  MutexLock lock(impl_->mu);
   if (impl_->files.erase(path) == 0) {
     return Status::NotFound("no such file: " + path);
   }
@@ -225,6 +238,7 @@ Status MemEnv::DeleteFile(const std::string& path) {
 }
 
 Status MemEnv::RenameFile(const std::string& from, const std::string& to) {
+  MutexLock lock(impl_->mu);
   auto it = impl_->files.find(from);
   if (it == impl_->files.end()) {
     return Status::NotFound("no such file: " + from);
@@ -235,6 +249,7 @@ Status MemEnv::RenameFile(const std::string& from, const std::string& to) {
 }
 
 Status MemEnv::CreateDir(const std::string& path) {
+  MutexLock lock(impl_->mu);
   impl_->dirs.insert(path);
   return Status::OK();
 }
@@ -243,6 +258,7 @@ StatusOr<std::vector<std::string>> MemEnv::ListDir(const std::string& path) {
   std::vector<std::string> names;
   std::string prefix = path;
   if (!prefix.empty() && prefix.back() != '/') prefix += '/';
+  MutexLock lock(impl_->mu);
   for (const auto& [name, data] : impl_->files) {
     (void)data;
     if (name.size() > prefix.size() && name.compare(0, prefix.size(), prefix) == 0) {

@@ -62,12 +62,10 @@ class Env {
 };
 
 /// Fully in-memory Env for unit tests and benchmarks: identical semantics to
-/// the POSIX Env, no disk I/O.  Concurrency contract matches the library's
-/// single-writer / multi-reader model: concurrent Read/Size on a file are
-/// safe (they touch the backing string read-only), but any write (Write,
-/// Append, Truncate) and any Env-level mutation (OpenFile, DeleteFile, ...)
-/// must be externally excluded from all other accesses — which the storage
-/// engine's writer lock guarantees.
+/// the POSIX Env, no disk I/O.  Thread-safe like the POSIX Env: every file
+/// operation takes that file's mutex and every Env-level operation takes the
+/// Env's, so a checkpoint's data-file writes may overlap buffer-pool miss
+/// reads of the same file and group-commit appends to the WAL.
 class MemEnv : public Env {
  public:
   MemEnv();

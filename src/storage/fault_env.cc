@@ -6,13 +6,17 @@
 #include <optional>
 
 #include "util/event_log.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace ode {
 
 namespace {
 
 /// Per-file shadow state: `synced` is what survives a crash, `current` is
-/// what readers see now.
+/// what readers see now.  Guarded by the owning FaultState's mutex — a
+/// cross-object guard the capability analysis cannot name, so every access
+/// below sits inside a MutexLock on FaultState::mu.
 struct FaultFileState {
   std::string synced;
   std::string current;
@@ -62,30 +66,39 @@ struct FailurePlan {
   bool sticky;
 };
 
+/// All of the env's state behind one mutex: file contents, accounting and
+/// the injection plans.  Every file operation and every public method takes
+/// it, so concurrent engine threads (checkpoint page writes, buffer-pool
+/// miss reads, group-commit appends) see one total order of operations —
+/// which is also what makes a scheduled crash step deterministic.
 struct FaultState {
-  std::map<std::string, std::shared_ptr<FaultFileState>> files;
+  mutable Mutex mu;
+  std::map<std::string, std::shared_ptr<FaultFileState>> files
+      ODE_GUARDED_BY(mu);
 
   // Accounting.
-  IoCounts counts;
-  uint64_t successful_syncs = 0;  // Legacy sync_count() semantics.
+  IoCounts counts ODE_GUARDED_BY(mu);
+  uint64_t successful_syncs ODE_GUARDED_BY(mu) = 0;  // Legacy sync_count().
 
   // Dying-disk state: once failing, every mutating op returns failing_error.
-  bool failing = false;
-  Status failing_error = Status::IOError("simulated disk failure");
-  int syncs_until_failure = -1;  // < 0: disabled (legacy FailAfterSyncs).
-  std::optional<FailurePlan> plan;
+  bool failing ODE_GUARDED_BY(mu) = false;
+  Status failing_error ODE_GUARDED_BY(mu) =
+      Status::IOError("simulated disk failure");
+  // < 0: disabled (legacy FailAfterSyncs).
+  int syncs_until_failure ODE_GUARDED_BY(mu) = -1;
+  std::optional<FailurePlan> plan ODE_GUARDED_BY(mu);
 
   // Scheduled crash.
-  bool crash_armed = false;
-  uint64_t crash_at_op = 0;  // Mutating ops since arming.
-  uint64_t ops_since_arm = 0;
-  CrashTear crash_tear = CrashTear::kLoseAll;
-  bool crash_fired = false;
+  bool crash_armed ODE_GUARDED_BY(mu) = false;
+  uint64_t crash_at_op ODE_GUARDED_BY(mu) = 0;  // Mutating ops since arming.
+  uint64_t ops_since_arm ODE_GUARDED_BY(mu) = 0;
+  CrashTear crash_tear ODE_GUARDED_BY(mu) = CrashTear::kLoseAll;
+  bool crash_fired ODE_GUARDED_BY(mu) = false;
 
   // Optional journal for fired injections (see set_event_log).
-  EventLog* events = nullptr;
+  EventLog* events ODE_GUARDED_BY(mu) = nullptr;
 
-  void CrashNow(CrashTear tear) {
+  void CrashNow(CrashTear tear) ODE_REQUIRES(mu) {
     for (auto& [name, state] : files) {
       (void)name;
       state->current = ApplyTear(state->synced, state->current, tear);
@@ -101,7 +114,7 @@ struct FaultState {
 
   /// Runs the injection pipeline for one attempted operation.  Returns the
   /// error the op must fail with, or OK to let it execute.
-  Status CheckOp(FaultOp op) {
+  Status CheckOp(FaultOp op) ODE_REQUIRES(mu) {
     const bool mutating = op != FaultOp::kRead && op != FaultOp::kOpen;
     ++counts.ops[static_cast<int>(op)];
     if (mutating) {
@@ -151,6 +164,7 @@ class FaultFile : public File {
 
   Status Read(uint64_t offset, size_t n, std::string* scratch,
               Slice* result) override {
+    MutexLock lock(global_->mu);
     ODE_RETURN_IF_ERROR(CheckAlive());
     ODE_RETURN_IF_ERROR(global_->CheckOp(FaultOp::kRead));
     const std::string& c = state_->current;
@@ -166,6 +180,7 @@ class FaultFile : public File {
   }
 
   Status Write(uint64_t offset, const Slice& data) override {
+    MutexLock lock(global_->mu);
     ODE_RETURN_IF_ERROR(CheckAlive());
     ODE_RETURN_IF_ERROR(global_->CheckOp(FaultOp::kWrite));
     std::string& c = state_->current;
@@ -176,6 +191,7 @@ class FaultFile : public File {
   }
 
   Status Append(const Slice& data) override {
+    MutexLock lock(global_->mu);
     ODE_RETURN_IF_ERROR(CheckAlive());
     ODE_RETURN_IF_ERROR(global_->CheckOp(FaultOp::kAppend));
     state_->current.append(data.data(), data.size());
@@ -184,6 +200,7 @@ class FaultFile : public File {
   }
 
   Status Sync() override {
+    MutexLock lock(global_->mu);
     ODE_RETURN_IF_ERROR(CheckAlive());
     ODE_RETURN_IF_ERROR(global_->CheckOp(FaultOp::kSync));
     state_->synced = state_->current;
@@ -192,6 +209,7 @@ class FaultFile : public File {
   }
 
   Status Truncate(uint64_t size) override {
+    MutexLock lock(global_->mu);
     ODE_RETURN_IF_ERROR(CheckAlive());
     ODE_RETURN_IF_ERROR(global_->CheckOp(FaultOp::kTruncate));
     state_->current.resize(size);
@@ -199,12 +217,13 @@ class FaultFile : public File {
   }
 
   StatusOr<uint64_t> Size() override {
+    MutexLock lock(global_->mu);
     ODE_RETURN_IF_ERROR(CheckAlive());
     return static_cast<uint64_t>(state_->current.size());
   }
 
  private:
-  Status CheckAlive() const {
+  Status CheckAlive() const ODE_REQUIRES(global_->mu) {
     if (generation_ != state_->generation) {
       return Status::IOError("file handle invalidated by simulated crash");
     }
@@ -230,6 +249,7 @@ FaultInjectionEnv::~FaultInjectionEnv() = default;
 
 StatusOr<std::unique_ptr<File>> FaultInjectionEnv::OpenFile(
     const std::string& path) {
+  MutexLock lock(impl_->state.mu);
   ODE_RETURN_IF_ERROR(impl_->state.CheckOp(FaultOp::kOpen));
   auto it = impl_->state.files.find(path);
   if (it == impl_->state.files.end()) {
@@ -240,10 +260,12 @@ StatusOr<std::unique_ptr<File>> FaultInjectionEnv::OpenFile(
 }
 
 bool FaultInjectionEnv::FileExists(const std::string& path) {
+  MutexLock lock(impl_->state.mu);
   return impl_->state.files.count(path) > 0;
 }
 
 Status FaultInjectionEnv::DeleteFile(const std::string& path) {
+  MutexLock lock(impl_->state.mu);
   ODE_RETURN_IF_ERROR(impl_->state.CheckOp(FaultOp::kDelete));
   if (impl_->state.files.erase(path) == 0) {
     return Status::NotFound("no such file: " + path);
@@ -253,6 +275,7 @@ Status FaultInjectionEnv::DeleteFile(const std::string& path) {
 
 Status FaultInjectionEnv::RenameFile(const std::string& from,
                                      const std::string& to) {
+  MutexLock lock(impl_->state.mu);
   ODE_RETURN_IF_ERROR(impl_->state.CheckOp(FaultOp::kRename));
   auto it = impl_->state.files.find(from);
   if (it == impl_->state.files.end()) {
@@ -270,6 +293,7 @@ StatusOr<std::vector<std::string>> FaultInjectionEnv::ListDir(
   std::vector<std::string> names;
   std::string prefix = path;
   if (!prefix.empty() && prefix.back() != '/') prefix += '/';
+  MutexLock lock(impl_->state.mu);
   for (const auto& [name, state] : impl_->state.files) {
     (void)state;
     if (name.size() > prefix.size() &&
@@ -283,6 +307,7 @@ StatusOr<std::vector<std::string>> FaultInjectionEnv::ListDir(
 void FaultInjectionEnv::CrashAndLoseUnsynced() { Crash(CrashTear::kLoseAll); }
 
 void FaultInjectionEnv::Crash(CrashTear tear) {
+  MutexLock lock(impl_->state.mu);
   impl_->state.CrashNow(tear);
   // An explicit Crash() is the start of the next experiment, not a pending
   // result to poll; leave crash_fired for ScheduleCrash sweeps.
@@ -292,6 +317,7 @@ void FaultInjectionEnv::Crash(CrashTear tear) {
 void FaultInjectionEnv::ScheduleCrash(uint64_t nth_mutating_op,
                                       CrashTear tear) {
   FaultState& s = impl_->state;
+  MutexLock lock(s.mu);
   s.crash_armed = true;
   s.crash_at_op = nth_mutating_op;
   s.ops_since_arm = 0;
@@ -299,14 +325,19 @@ void FaultInjectionEnv::ScheduleCrash(uint64_t nth_mutating_op,
   s.crash_fired = false;
 }
 
-bool FaultInjectionEnv::crash_fired() const { return impl_->state.crash_fired; }
+bool FaultInjectionEnv::crash_fired() const {
+  MutexLock lock(impl_->state.mu);
+  return impl_->state.crash_fired;
+}
 
 void FaultInjectionEnv::FailNth(FaultOp op, uint64_t nth, Status error,
                                 bool sticky) {
+  MutexLock lock(impl_->state.mu);
   impl_->state.plan = FailurePlan{op, nth, std::move(error), sticky};
 }
 
 void FaultInjectionEnv::FailAfterSyncs(int n) {
+  MutexLock lock(impl_->state.mu);
   impl_->state.syncs_until_failure = n;
   impl_->state.failing = (n == 0);
   impl_->state.failing_error = Status::IOError("simulated disk failure");
@@ -314,6 +345,7 @@ void FaultInjectionEnv::FailAfterSyncs(int n) {
 
 void FaultInjectionEnv::ClearFaults() {
   FaultState& s = impl_->state;
+  MutexLock lock(s.mu);
   s.failing = false;
   s.syncs_until_failure = -1;
   s.plan.reset();
@@ -322,20 +354,27 @@ void FaultInjectionEnv::ClearFaults() {
 }
 
 void FaultInjectionEnv::set_event_log(EventLog* log) {
+  MutexLock lock(impl_->state.mu);
   impl_->state.events = log;
 }
 
-IoCounts FaultInjectionEnv::counts() const { return impl_->state.counts; }
+IoCounts FaultInjectionEnv::counts() const {
+  MutexLock lock(impl_->state.mu);
+  return impl_->state.counts;
+}
 
 uint64_t FaultInjectionEnv::mutating_op_count() const {
+  MutexLock lock(impl_->state.mu);
   return impl_->state.counts.mutating();
 }
 
 int FaultInjectionEnv::sync_count() const {
+  MutexLock lock(impl_->state.mu);
   return static_cast<int>(impl_->state.successful_syncs);
 }
 
 void FaultInjectionEnv::ResetCounts() {
+  MutexLock lock(impl_->state.mu);
   impl_->state.counts = IoCounts{};
   impl_->state.successful_syncs = 0;
 }

@@ -83,9 +83,10 @@ inline constexpr int kNumCrashTears = 5;
 ///
 /// Files live in an internal in-memory store (the `base` Env is not
 /// consulted); semantics match MemEnv plus the per-file synced shadow state.
-/// The concurrency contract also matches MemEnv: concurrent reads are safe,
-/// any write or Env-level mutation must be externally excluded — which the
-/// storage engine's writer lock guarantees.
+/// Thread-safe: one mutex serializes every file operation, Env operation
+/// and control call, so the engine's concurrent I/O (checkpoint page writes
+/// outside the apply latch, buffer-pool misses, group-commit appends) is
+/// counted and crash-injected in one total order.
 class FaultInjectionEnv : public Env {
  public:
   /// `base` is unused beyond construction (kept for signature compatibility);

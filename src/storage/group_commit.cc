@@ -98,7 +98,10 @@ Status GroupCommit::Flush() ODE_NO_THREAD_SAFETY_ANALYSIS {
       mu_.Unlock();
       return failed;
     }
-    if (queue_.empty() && appended_not_durable_ == 0) {
+    // A leader that already popped its batch leaves the queue empty while
+    // it appends; wait it out too, so the caller (a checkpoint about to copy
+    // pages and roll the WAL) sees no append or fsync in flight.
+    if (queue_.empty() && appended_not_durable_ == 0 && !leader_active_) {
       mu_.Unlock();
       return Status::OK();
     }

@@ -96,7 +96,8 @@ class GroupCommit {
   /// apply latch guarantees.
   Status WaitDurableTxn(uint64_t txn_id);
 
-  /// Drains the queue and fsyncs everything appended.  Caller must hold the
+  /// Drains the queue and fsyncs everything appended; on OK no leader is
+  /// mid-batch, so no WAL append or fsync is in flight.  Caller must hold the
   /// engine's exclusive apply latch (so no new Enqueue can race the drain).
   /// Returns the sticky error if the queue has failed.
   Status Flush();

@@ -224,13 +224,14 @@ StatusOr<std::unique_ptr<StorageEngine>> StorageEngine::Open(
     engine->wal_->set_metrics(&engine->metrics_);
   }
 
-  // Redo recovery, then drop the now-applied log.
+  // Redo recovery, then drop the now-applied log.  Emptying both files
+  // restarts the txn-id order Recover relies on: this lifetime's ids begin
+  // at 1 again.
   {
     auto recovery = engine->wal_->Recover(engine->disk_.get());
     if (!recovery.ok()) return recovery.status();
     engine->recovery_ = *recovery;
-    ODE_RETURN_IF_ERROR(engine->wal_->Truncate());
-    engine->wal_bytes_at_truncate_ = engine->wal_->bytes_appended();
+    ODE_RETURN_IF_ERROR(engine->wal_->TruncateAll());
     engine->metrics_.RecordEvent(
         EventType::kRecovery, EventSeverity::kInfo,
         engine->recovery_.committed_txns, engine->recovery_.discarded_txns,
@@ -336,8 +337,12 @@ StorageEngine::~StorageEngine() {
     return;
   }
   // Checkpoint drains the group-commit queue (fsyncing any async tail)
-  // before flushing pages, so nothing acknowledged is lost on a clean close.
+  // before writing pages, so nothing acknowledged is lost on a clean close.
+  // A checkpoint that could not roll (its spare still held a failed
+  // checkpoint's records) leaves the active file non-empty; the second one
+  // rolls, so a clean close leaves both WAL files empty.
   Status s = Checkpoint();
+  if (s.ok() && wal_bytes() > 0) s = Checkpoint();
   if (!s.ok()) { ODE_LOG_WARN << "checkpoint on close failed: " << s; }
 }
 
@@ -567,25 +572,38 @@ Status StorageEngine::Checkpoint() {
     return Status::FailedPrecondition("cannot checkpoint mid-transaction");
   }
   if (poisoned()) return poison_status();
+  MutexLock serialize(checkpoint_mu_);
   TraceSpan span(metrics_.tracer, "storage.checkpoint", "storage");
   ScopedLatency timer(metrics_.checkpoint_ns);
   const uint64_t ckpt_t0_ns = Histogram::NowNanos();
-  const uint64_t wal_backlog = wal_bytes();
-  WriterMutexLock lock(rw_mutex_);
-  // WAL-before-data: every queued/appended commit must be fsynced before its
-  // dirty pages may reach the data file (and before Truncate drops the only
-  // redo copy).  Holding the latch guarantees no new enqueues race the
-  // drain.
-  ODE_RETURN_IF_ERROR(group_commit_->Flush());
-  ODE_RETURN_IF_ERROR(pool_->FlushAll());
-  ODE_RETURN_IF_ERROR(wal_->Truncate());
-  wal_bytes_at_truncate_.store(wal_->bytes_appended(),
-                               std::memory_order_relaxed);
+  std::vector<PageCopy> copies;
+  uint64_t latched_us = 0;
+  {
+    WriterMutexLock lock(rw_mutex_);
+    const uint64_t latched_ns = Histogram::NowNanos();
+    // WAL-before-data: every queued/appended commit is fsynced before any
+    // page image is copied, so only durable commits leave memory.  Holding
+    // the latch guarantees no new enqueue races the drain, and the drained
+    // queue has no append or fsync in flight for Roll to race.
+    ODE_RETURN_IF_ERROR(group_commit_->Flush());
+    auto copied = pool_->CopyDirtyPages();
+    if (!copied.ok()) return copied.status();
+    copies = std::move(*copied);
+    // Roll only into an empty spare.  A non-empty spare is the old file of
+    // a checkpoint whose write failed: its pages are still dirty, so this
+    // checkpoint writes them and retires that file instead.
+    if (wal_->spare_empty()) wal_->Roll();
+    latched_us = (Histogram::NowNanos() - latched_ns) / 1000;
+  }
+  // Outside the latch: readers and writers proceed while the copies reach
+  // the data file.  The old WAL file is retired only after the data fsync.
+  ODE_RETURN_IF_ERROR(pool_->WriteCopies(copies));
+  auto retired = wal_->TruncateSpare();
+  if (!retired.ok()) return retired.status();
   checkpoint_count_.fetch_add(1, std::memory_order_relaxed);
   metrics_.checkpoints->Increment();
   metrics_.RecordEvent(EventType::kCheckpoint, EventSeverity::kInfo,
-                       checkpoint_count_.load(std::memory_order_relaxed),
-                       wal_backlog);
+                       copies.size(), *retired, latched_us);
   NoteSlowOp("slow.checkpoint", ckpt_t0_ns, options_.slow_checkpoint_us);
   return Status::OK();
 }
@@ -642,22 +660,26 @@ void StorageEngine::CheckpointerLoop() {
     if (diagnostics_pending_.exchange(false, std::memory_order_acq_rel)) {
       if (options_.on_diagnostics) options_.on_diagnostics("poison");
     }
-    if (poisoned()) continue;
-    if (wal_bytes() > options_.checkpoint_wal_bytes) {
-      // Failure must not kill the loop: the WAL keeps growing but stays
-      // replayable, and the next signal retries.
-      Status s = Checkpoint();
-      if (!s.ok()) { ODE_LOG_WARN << "background checkpoint failed: " << s; }
-    } else if (options_.commit_mode == CommitMode::kAsync) {
-      // Bound the async durability window: fsync the appended-but-unsynced
-      // tail even when writers have gone idle.
-      const uint64_t tail =
-          last_enqueued_txn_.load(std::memory_order_acquire);
-      if (tail > group_commit_->durable_txn_id()) {
-        Status s = group_commit_->WaitDurableTxn(tail);
-        if (!s.ok()) { ODE_LOG_WARN << "async tail fsync failed: " << s; }
+    if (!poisoned()) {
+      if (wal_bytes() > options_.checkpoint_wal_bytes) {
+        // Failure must not kill the loop: the WAL keeps growing but stays
+        // replayable, and the next signal retries.
+        Status s = Checkpoint();
+        if (!s.ok()) {
+          ODE_LOG_WARN << "background checkpoint failed: " << s;
+        }
+      } else if (options_.commit_mode == CommitMode::kAsync) {
+        // Bound the async durability window: fsync the appended-but-unsynced
+        // tail even when writers have gone idle.
+        const uint64_t tail =
+            last_enqueued_txn_.load(std::memory_order_acquire);
+        if (tail > group_commit_->durable_txn_id()) {
+          Status s = group_commit_->WaitDurableTxn(tail);
+          if (!s.ok()) { ODE_LOG_WARN << "async tail fsync failed: " << s; }
+        }
       }
     }
+    checkpointer_passes_.fetch_add(1, std::memory_order_release);
   }
 }
 
@@ -728,10 +750,7 @@ HealthReport StorageEngine::HealthCheck() const {
   return report;
 }
 
-uint64_t StorageEngine::wal_bytes() const {
-  return wal_->bytes_appended() -
-         wal_bytes_at_truncate_.load(std::memory_order_relaxed);
-}
+uint64_t StorageEngine::wal_bytes() const { return wal_->live_bytes(); }
 
 uint64_t StorageEngine::wal_total_bytes() const {
   return wal_->bytes_appended();

@@ -220,11 +220,14 @@ class ReadTxn : public PageIO {
 /// never flushed mid-transaction) and aborts restore undo images before the
 /// latch releases, a shared-lock reader always observes a consistent state.
 ///
-/// Dirty-page flushing is the background checkpointer's job: a dedicated
+/// Dirty-page writing is the background checkpointer's job: a dedicated
 /// thread checkpoints once the WAL passes checkpoint_wal_bytes (commits just
 /// signal it) and, in kAsync mode, periodically fsyncs the un-synced WAL
 /// tail so the async durability window stays bounded even when writers go
-/// idle.
+/// idle.  Checkpoints are fuzzy: the apply latch is held only to drain group
+/// commit, copy the dirty pages and roll the WAL to its spare file; the page
+/// writes, the data-file fsync and the old WAL file's truncate run with the
+/// latch released (see Checkpoint).
 class StorageEngine {
  public:
   static StatusOr<std::unique_ptr<StorageEngine>> Open(
@@ -269,9 +272,18 @@ class StorageEngine {
   /// lock instead of re-acquiring, which std::shared_mutex forbids).
   Status WithReadTxn(const std::function<Status(ReadTxn&)>& body);
 
-  /// Drains the group-commit queue, fsyncs, flushes all dirty pages to the
-  /// data file and truncates the WAL.  Must not be called from a thread with
-  /// an open transaction; blocks until concurrent writers drain.
+  /// Writes every dirty page to the data file and retires the WAL records
+  /// that covered them, in two phases:
+  ///  - under the exclusive apply latch: drain group commit (so every
+  ///    applied commit is fsync-durable), copy each dirty page, and roll WAL
+  ///    appends to the spare file if it is empty;
+  ///  - with the latch released: write the copies, fsync the data file, mark
+  ///    unmodified frames clean, then truncate and fsync the old WAL file.
+  /// Whole checkpoints are serialized by their own mutex.  If the second
+  /// phase fails, the old WAL file keeps its records and the pages stay
+  /// dirty; the next checkpoint rewrites them and retires that file without
+  /// rolling.  Must not be called from a thread with an open transaction;
+  /// blocks until concurrent writers leave the apply latch.
   Status Checkpoint();
 
   /// Blocks until every transaction with id <= txn_id whose commit was
@@ -298,6 +310,7 @@ class StorageEngine {
   /// Snapshot of the buffer pool counters.  Thread-safe.
   BufferPoolStats cache_stats() const { return pool_->stats(); }
   const RecoveryStats& last_recovery() const { return recovery_; }
+  /// WAL bytes not yet retired by a checkpoint (both WAL files).
   uint64_t wal_bytes() const;
   /// Total WAL bytes ever appended this session (not reset by checkpoints).
   uint64_t wal_total_bytes() const;
@@ -306,6 +319,13 @@ class StorageEngine {
   }
   uint64_t checkpoint_count() const {
     return checkpoint_count_.load(std::memory_order_relaxed);
+  }
+  /// Passes the background checkpointer has completed.  A pass consumes the
+  /// pending signal and checkpoints if the WAL is over its threshold, so
+  /// once this has advanced by two, a pass that began after the caller's
+  /// last commit has finished.
+  uint64_t checkpointer_passes() const {
+    return checkpointer_passes_.load(std::memory_order_acquire);
   }
   BufferPool& buffer_pool() { return *pool_; }
 
@@ -406,11 +426,16 @@ class StorageEngine {
   bool ckpt_stop_ ODE_GUARDED_BY(ckpt_mu_) = false;
   bool ckpt_signal_ ODE_GUARDED_BY(ckpt_mu_) = false;
   std::thread checkpointer_;  // Started last in Open, joined first in dtor.
+  std::atomic<uint64_t> checkpointer_passes_{0};
+  /// Serializes whole checkpoints (background, Database::Checkpoint, close);
+  /// taken before rw_mutex_.  The apply latch covers only the drain, copy
+  /// and roll, so without this two checkpoints could interleave their
+  /// out-of-latch writes and spare-file truncates.
+  Mutex checkpoint_mu_;
   // --- Monitoring counters ------------------------------------------------
   // Written by committing writers (under the apply latch), but read by *any*
   // thread through the public accessors (stats paths run concurrently with a
   // committing writer), so they must be atomic.
-  std::atomic<uint64_t> wal_bytes_at_truncate_{0};
   std::atomic<uint64_t> commit_count_{0};
   std::atomic<uint64_t> checkpoint_count_{0};
   /// The apply latch: writers exclusive, readers shared.  Held from Begin

@@ -98,8 +98,12 @@ void EventLog::Record(EventType type, EventSeverity severity, uint64_t a,
   slot.b = b;
   slot.c = c;
   const size_t n = std::min(detail.size(), EventRecord::kDetailBytes - 1);
-  // ode_lint: allow(unchecked-cast) n is min()-clamped to the detail buffer.
-  std::memcpy(slot.detail, detail.data(), n);
+  // An empty detail may be a default string_view whose data() is null, and
+  // memcpy from null is undefined even for zero bytes.
+  if (n > 0) {
+    // ode_lint: allow(unchecked-cast) n is min()-clamped to the detail buffer.
+    std::memcpy(slot.detail, detail.data(), n);
+  }
   slot.detail[n] = '\0';
   ++buf->next;
   const uint64_t live = buf->next - buf->drained_mark;

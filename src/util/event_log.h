@@ -48,7 +48,9 @@ enum class EventType : uint8_t {
   kTxnCommit = 1,       ///< a=txn_id, b=dirty_pages, c=duration_us
   kTxnAbort = 2,        ///< a=txn_id
   kGroupCommitBatch = 3,///< a=batch_txns, b=bytes, c=durable_txn
-  kCheckpoint = 4,      ///< a=pages_flushed, b=wal_bytes_truncated
+  kCheckpoint = 4,      ///< a=pages_written, b=wal_bytes_retired,
+                        ///< c=latch_held_us (apply latch held: drain, page
+                        ///< copy and WAL roll; the rest runs unlatched)
   kVacuumStep = 5,      ///< a=tree_index, b=entries_copied, c=steps_done
   kPoison = 6,          ///< a=0; detail = cause status
   kFaultInjection = 7,  ///< a=op (FaultOp), b=countdown/crash flag

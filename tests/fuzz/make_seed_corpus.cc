@@ -143,23 +143,44 @@ void WireSeeds() {
 
 // -- WAL --------------------------------------------------------------------
 
+/// wal_replay input layout: u32 n | n bytes of wal.log | wal.log.1.
+std::string WalFiles(const std::string& file0, const std::string& file1) {
+  std::string out;
+  ode::PutFixed32(&out, static_cast<uint32_t>(file0.size()));
+  return out + file0 + file1;
+}
+
 void WalSeeds() {
-  std::string log;
-  ode::Wal::EncodeBegin(1, &log);
   std::string image(ode::kPageSize, '\0');
   image[0] = static_cast<char>(ode::PageType::kHeap);
   image[100] = 'x';
-  ode::Wal::EncodePageImage(1, 2, image.data(), &log);
-  ode::Wal::EncodeCommit(1, &log);
-  WriteSeed("wal_replay", "one-committed-txn", log);
-  WriteSeed("wal_replay", "torn-tail", log.substr(0, log.size() - 5));
+  const auto committed = [&](uint64_t txn, ode::PageId page) {
+    std::string log;
+    ode::Wal::EncodeBegin(txn, &log);
+    ode::Wal::EncodePageImage(txn, page, image.data(), &log);
+    ode::Wal::EncodeCommit(txn, &log);
+    return log;
+  };
+  const std::string log = committed(1, 2);
+  WriteSeed("wal_replay", "one-committed-txn", WalFiles(log, ""));
+  WriteSeed("wal_replay", "torn-tail",
+            WalFiles(log.substr(0, log.size() - 5), ""));
   {
     // Begun but never committed (crash victim).
     std::string crash;
     ode::Wal::EncodeBegin(7, &crash);
     ode::Wal::EncodePageImage(7, 3, image.data(), &crash);
-    WriteSeed("wal_replay", "uncommitted-txn", crash);
+    WriteSeed("wal_replay", "uncommitted-txn", WalFiles(crash, ""));
   }
+  // Both files live, as a crash inside a fuzzy checkpoint leaves them: the
+  // older file (smaller first txn id) replays first, whichever file it is.
+  const std::string older = committed(1, 2) + committed(2, 3);
+  const std::string newer = committed(3, 2) + committed(4, 4);
+  WriteSeed("wal_replay", "two-files-older-first", WalFiles(older, newer));
+  WriteSeed("wal_replay", "two-files-newer-first", WalFiles(newer, older));
+  // A torn newer file (crash mid-append after the roll).
+  WriteSeed("wal_replay", "two-files-torn-newer",
+            WalFiles(newer.substr(0, newer.size() - 7), older));
 }
 
 // -- Pages ------------------------------------------------------------------

@@ -203,6 +203,34 @@ TEST(OdedumpToolTest, DiagListsAndPrintsDumpsWithoutOpeningTheDatabase) {
       << chosen.output;
 }
 
+// A slow commit can be traced to a checkpoint from the tool's output
+// alone: the dump's checkpoint record shows pages written (a), WAL bytes
+// retired (b) and the microseconds the apply latch was held (c).
+TEST(OdedumpToolTest, DiagShowsCheckpointPagesBytesAndLatchTime) {
+  const std::string path = FreshDbPath("diag_checkpoint");
+  {
+    DatabaseOptions options;
+    options.storage.path = path;
+    ASSERT_OK_AND_ASSIGN(auto db, Database::Open(options));
+    ASSERT_OK_AND_ASSIGN(uint32_t tid, db->RegisterType("doc"));
+    ASSERT_OK(db->PnewRaw(tid, Slice("payload")).status());
+    ASSERT_OK(db->Checkpoint());
+    ASSERT_OK(db->DumpDiagnostics("manual").status());
+  }
+  ToolResult r = RunOdedump(path + " diag");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  const size_t at = r.output.find("\"type\": \"checkpoint\"");
+  ASSERT_NE(at, std::string::npos) << r.output;
+  const size_t end = r.output.find('}', at);
+  const std::string record = r.output.substr(at, end - at);
+  for (const char* key : {"\"a\": ", "\"b\": ", "\"c\": "}) {
+    EXPECT_NE(record.find(key), std::string::npos) << key << "\n" << record;
+  }
+  // At least the superblock and the new object's pages were written.
+  EXPECT_EQ(record.find("\"a\": 0,"), std::string::npos) << record;
+  EXPECT_EQ(record.find("\"b\": 0,"), std::string::npos) << record;
+}
+
 TEST(OdedumpToolTest, HealthOnHealthyDatabaseExitsZero) {
   const std::string path = FreshDbPath("health_ok");
   BuildDatabase(path);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "storage/disk_manager.h"
 #include "storage/env.h"
+#include "storage/fault_env.h"
 #include "tests/testing/util.h"
 
 namespace ode {
@@ -140,7 +143,7 @@ TEST_F(BufferPoolTest, RestorePageRevertsContent) {
   EXPECT_NE(std::string(h.data(), 8), "modified");
 }
 
-TEST_F(BufferPoolTest, FlushAllWritesDirtyPages) {
+TEST_F(BufferPoolTest, WriteCopiesWritesDirtyPages) {
   BufferPool pool(disk_.get(), 4);
   pool.BeginEpoch();
   {
@@ -148,20 +151,89 @@ TEST_F(BufferPoolTest, FlushAllWritesDirtyPages) {
     std::memcpy(h.mutable_data(), "flushed", 7);
   }
   pool.CommitEpoch();
-  ASSERT_OK(pool.FlushAll());
+  ASSERT_OK_AND_ASSIGN(std::vector<PageCopy> copies, pool.CopyDirtyPages());
+  ASSERT_EQ(copies.size(), 1u);
+  EXPECT_EQ(copies[0].id, 2u);
+  ASSERT_OK(pool.WriteCopies(copies));
   char buf[kPageSize];
   ASSERT_OK(disk_->ReadPage(2, buf));
   EXPECT_EQ(std::string(buf, 7), "flushed");
   EXPECT_EQ(pool.stats().flushes, 1u);
+  // Clean now: the next checkpoint has nothing to copy.
+  ASSERT_OK_AND_ASSIGN(copies, pool.CopyDirtyPages());
+  EXPECT_TRUE(copies.empty());
 }
 
-TEST_F(BufferPoolTest, FlushAllMidEpochRejected) {
+TEST_F(BufferPoolTest, CopyDirtyPagesMidEpochRejected) {
   BufferPool pool(disk_.get(), 4);
   pool.BeginEpoch();
   ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(1));
   h.mutable_data()[0] = 'z';
   h.Release();
-  EXPECT_TRUE(pool.FlushAll().IsFailedPrecondition());
+  EXPECT_TRUE(pool.CopyDirtyPages().status().IsFailedPrecondition());
+}
+
+// A page modified between its checkpoint copy and the copy's write must stay
+// dirty: the data file holds the older image, so evicting the frame would
+// re-read stale bytes.  The same holds for an abort that restores the page.
+TEST_F(BufferPoolTest, FrameModifiedAfterCopyStaysDirty) {
+  BufferPool pool(disk_.get(), 4);
+  std::string undo;
+  pool.set_pre_dirty_hook(
+      [&](PageId, const char* data, bool) { undo.assign(data, kPageSize); });
+  for (PageId id : {1u, 2u}) {
+    pool.BeginEpoch();
+    {
+      ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(id));
+      std::memcpy(h.mutable_data(), "copied", 6);
+    }
+    pool.CommitEpoch();
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<PageCopy> copies, pool.CopyDirtyPages());
+  ASSERT_EQ(copies.size(), 2u);
+  pool.BeginEpoch();
+  {
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(1));
+    std::memcpy(h.mutable_data(), "newer!", 6);
+  }
+  pool.CommitEpoch();
+  pool.BeginEpoch();
+  {
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(2));
+    std::memcpy(h.mutable_data(), "undone", 6);
+  }
+  ASSERT_OK(pool.RestorePage(2, undo.data(), /*dirty=*/true));
+  pool.CommitEpoch();
+  ASSERT_OK(pool.WriteCopies(copies));
+
+  ASSERT_OK_AND_ASSIGN(copies, pool.CopyDirtyPages());
+  ASSERT_EQ(copies.size(), 2u);
+  EXPECT_EQ(copies[0].image.substr(0, 6), "newer!");
+  EXPECT_EQ(copies[1].image.substr(0, 6), "copied");
+  // Still dirty, so eviction pressure cannot drop the newer image.
+  for (PageId id = 3; id <= 10; ++id) {
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(id));
+  }
+  ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(1));
+  EXPECT_EQ(std::string(h.data(), 6), "newer!");
+}
+
+TEST_F(BufferPoolTest, FailedCopyWriteLeavesFramesDirty) {
+  FaultInjectionEnv fault_env(nullptr);
+  ASSERT_OK_AND_ASSIGN(auto disk, DiskManager::Open(&fault_env, "/db"));
+  BufferPool pool(disk.get(), 4);
+  pool.BeginEpoch();
+  {
+    ASSERT_OK_AND_ASSIGN(PageHandle h, pool.Fetch(1));
+    h.mutable_data()[0] = 'x';
+  }
+  pool.CommitEpoch();
+  ASSERT_OK_AND_ASSIGN(std::vector<PageCopy> copies, pool.CopyDirtyPages());
+  fault_env.FailNth(FaultOp::kSync, 0, Status::IOError("injected"),
+                    /*sticky=*/false);
+  EXPECT_FALSE(pool.WriteCopies(copies).ok());
+  ASSERT_OK_AND_ASSIGN(copies, pool.CopyDirtyPages());
+  EXPECT_EQ(copies.size(), 1u);
 }
 
 TEST_F(BufferPoolTest, DropAllUnpinnedForcesReread) {

@@ -252,6 +252,36 @@ TEST(CrashMatrixTest, IncrementalVacuumStepsInterleavedWithWrites) {
   RunWithFloor(w, /*min_injections=*/150);
 }
 
+// Checkpoints between write groups: the dense sweep places crashes inside
+// each checkpoint's out-of-latch page writes, its data-file fsync, and the
+// truncate + fsync that retires the old WAL file — with later groups
+// committing into the other WAL file, so recovery must replay the two files
+// in order (and over pages a torn checkpoint already half wrote).
+TEST(CrashMatrixTest, CheckpointsBetweenWriteGroups) {
+  Workload w;
+  w.name = "checkpoints";
+  const WorkloadOp checkpoint = [](Database& db) -> Status {
+    return db.Checkpoint();
+  };
+  w.ops = {
+      Pnew("doc", std::string(90, 'a')),
+      Pnew("doc", std::string(70, 'b')),
+      NewVersion(1),
+      checkpoint,
+      Update(1, std::string(110, 'c')),
+      Pnew("doc", std::string(60, 'd')),
+      checkpoint,
+      NewVersion(2),
+      Update(3, std::string(80, 'e')),
+      PdeleteVersion(1, 1),
+      checkpoint,
+      checkpoint,  // Nothing dirty: the roll alone, then an idle retire.
+      Update(2, std::string(50, 'f')),
+      PdeleteObject(3),
+  };
+  RunWithFloor(w, /*min_injections=*/200, /*min_steps=*/40);
+}
+
 // Acceptance criterion: a failed fsync during Commit must surface as a
 // non-OK Status from the mutating call, and the engine must refuse further
 // transactions (the unsynced WAL tail could otherwise become durable later,

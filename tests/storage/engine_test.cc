@@ -4,10 +4,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "storage/btree.h"
+#include "util/event_log.h"
 #include "tests/testing/util.h"
 
 namespace ode {
@@ -247,14 +251,228 @@ TEST_F(EngineTest, AutoCheckpointAfterWalThreshold) {
     }));
   }
   // Checkpointing moved off the commit path into the background
-  // checkpointer, which Commit nudges when wal_bytes crosses the
-  // threshold — poll briefly instead of asserting synchronously.
-  for (int spins = 0; spins < 1000; ++spins) {
-    if (e->checkpoint_count() > checkpoints_before) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // checkpointer, which Commit nudges when wal_bytes crosses the threshold.
+  // The writer can outrun it, so wait until it has acted on the LAST
+  // signal: a pass that began after the loop has seen the final WAL size
+  // and checkpointed if it was over the threshold.  Two completed passes
+  // past this point include one that began after it.
+  const uint64_t passes = e->checkpointer_passes();
+  for (int spins = 0; spins < 5000; ++spins) {
+    if (e->checkpointer_passes() >= passes + 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ASSERT_GE(e->checkpointer_passes(), passes + 2);
   EXPECT_GT(e->checkpoint_count(), checkpoints_before);
   EXPECT_LT(e->wal_bytes(), 2 * options.checkpoint_wal_bytes);
+}
+
+// The kCheckpoint journal record carries the pages written (a), the WAL
+// bytes retired (b) and the microseconds the apply latch was held (c).
+TEST_F(EngineTest, CheckpointEventCountsPagesWritten) {
+  engine_.reset();
+  EventLog log;
+  StorageOptions options;
+  options.env = &env_;
+  options.path = "/db_events";
+  options.checkpoint_wal_bytes = 1ull << 40;  // Manual checkpoints only.
+  options.event_log = &log;
+  ASSERT_OK_AND_ASSIGN(auto e, StorageEngine::Open(options));
+  ASSERT_OK(e->Checkpoint());  // Start from a clean pool.
+  ASSERT_OK(e->WithTxn([](Txn& txn) -> Status {
+    for (int i = 0; i < 3; ++i) {
+      auto pid = txn.AllocatePage();
+      if (!pid.ok()) return pid.status();
+    }
+    return Status::OK();
+  }));
+  // Three fresh pages plus the superblock that counts them.
+  const uint64_t backlog = e->wal_bytes();
+  ASSERT_GT(backlog, 0u);
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_OK(e->Checkpoint());
+  const auto elapsed_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+  EXPECT_EQ(e->wal_bytes(), 0u);
+
+  std::vector<EventRecord> events;
+  log.Snapshot(&events);
+  const EventRecord* last = nullptr;
+  for (const EventRecord& r : events) {
+    if (r.type == EventType::kCheckpoint) last = &r;
+  }
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(last->a, 4u);
+  EXPECT_EQ(last->b, backlog);
+  EXPECT_LE(last->c, static_cast<uint64_t>(elapsed_us));
+}
+
+/// MemEnv whose data-file page writes are slow, so a checkpoint's unlatched
+/// write phase stays open long enough for readers to fault pages in while
+/// it runs.
+class SlowDataWritesEnv : public MemEnv {
+ public:
+  StatusOr<std::unique_ptr<File>> OpenFile(const std::string& path) override {
+    auto file = MemEnv::OpenFile(path);
+    const std::string suffix = "/data.odb";
+    if (!file.ok() || path.size() < suffix.size() ||
+        path.compare(path.size() - suffix.size(), suffix.size(), suffix) != 0) {
+      return file;
+    }
+    return std::unique_ptr<File>(new SlowWriteFile(std::move(*file)));
+  }
+
+ private:
+  class SlowWriteFile : public File {
+   public:
+    explicit SlowWriteFile(std::unique_ptr<File> base)
+        : base_(std::move(base)) {}
+    Status Read(uint64_t offset, size_t n, std::string* scratch,
+                Slice* result) override {
+      return base_->Read(offset, n, scratch, result);
+    }
+    Status Write(uint64_t offset, const Slice& data) override {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      return base_->Write(offset, data);
+    }
+    Status Append(const Slice& data) override { return base_->Append(data); }
+    Status Sync() override { return base_->Sync(); }
+    Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+    StatusOr<uint64_t> Size() override { return base_->Size(); }
+
+   private:
+    std::unique_ptr<File> base_;
+  };
+};
+
+// Fuzzy checkpoints write page copies while readers fault pages in and a
+// writer keeps committing.  A frame marked clean before its image reached
+// the data file would be evicted and re-read stale; the tiny pool forces
+// evictions, so such a read shows up as a value older than one already
+// committed.  Runs under TSan via the Concurrent filter.
+TEST_F(EngineTest, ConcurrentFuzzyCheckpointsKeepReadsCurrent) {
+  engine_.reset();
+  SlowDataWritesEnv env;
+  StorageOptions options;
+  options.env = &env;
+  options.path = "/db_fuzzy";
+  options.buffer_pool_pages = 8;
+  options.checkpoint_wal_bytes = 1ull << 40;  // Only the explicit calls.
+  ASSERT_OK_AND_ASSIGN(auto e, StorageEngine::Open(options));
+
+  constexpr int kPages = 48;      // Written by the writer.
+  constexpr int kColdPages = 64;  // Only read: their misses force evictions.
+  constexpr uint64_t kWrites = 1000;
+  constexpr int kReaders = 3;
+  // Page i holds value v (stamped at both ends of the page); the writer
+  // only ever writes values with v % kPages == i, and cold pages stay 0.
+  const auto stamp = [](char* page, uint64_t v) {
+    std::memcpy(page, &v, sizeof(v));
+    std::memcpy(page + kPageSize - sizeof(v), &v, sizeof(v));
+  };
+  std::vector<PageId> pages(kPages + kColdPages);
+  ASSERT_OK(e->WithTxn([&](Txn& txn) -> Status {
+    for (int i = 0; i < kPages + kColdPages; ++i) {
+      auto pid = txn.AllocatePage();
+      if (!pid.ok()) return pid.status();
+      pages[i] = *pid;
+      auto page = txn.Fetch(*pid);
+      if (!page.ok()) return page.status();
+      stamp(page->mutable_data(), 0);
+    }
+    return Status::OK();
+  }));
+  // Start cold: every reader fetch of a page misses, and past eight
+  // resident frames each miss must evict.
+  ASSERT_OK(e->Checkpoint());
+  e->buffer_pool().DropAllUnpinned();
+
+  std::vector<std::atomic<uint64_t>> committed(kPages);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> stale_reads{0};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> checkpoints{0};
+  std::atomic<uint64_t> errors{0};
+
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      uint64_t x = 0x9e3779b97f4a7c15ull * (r + 1);
+      while (!done.load(std::memory_order_acquire)) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const int i = static_cast<int>(x % (kPages + kColdPages));
+        const uint64_t floor =
+            i < kPages ? committed[i].load(std::memory_order_acquire) : 0;
+        Status s = e->WithReadTxn([&](ReadTxn& txn) -> Status {
+          auto page = txn.Fetch(pages[i]);
+          if (!page.ok()) return page.status();
+          uint64_t head = 0;
+          uint64_t tail = 0;
+          std::memcpy(&head, page->data(), sizeof(head));
+          std::memcpy(&tail, page->data() + kPageSize - sizeof(tail),
+                      sizeof(tail));
+          const bool foreign =
+              head != 0 &&
+              (i >= kPages || head % kPages != static_cast<uint64_t>(i));
+          if (head != tail || head < floor || foreign) {
+            stale_reads.fetch_add(1, std::memory_order_relaxed);
+          }
+          return Status::OK();
+        });
+        if (!s.ok()) errors.fetch_add(1, std::memory_order_relaxed);
+        reads.fetch_add(1, std::memory_order_relaxed);
+        // The engine lock prefers readers: pause so the writer and the
+        // checkpoints are not starved of the exclusive side.
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (e->Checkpoint().ok()) {
+        checkpoints.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        errors.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  // Keep writing until enough checkpoints have overlapped the writes.
+  for (uint64_t v = 1;
+       v <= kWrites || checkpoints.load(std::memory_order_relaxed) < 20; ++v) {
+    const int i = static_cast<int>(v % kPages);
+    Status s = e->WithTxn([&](Txn& txn) -> Status {
+      auto page = txn.Fetch(pages[i]);
+      if (!page.ok()) return page.status();
+      stamp(page->mutable_data(), v);
+      return Status::OK();
+    });
+    ASSERT_OK(s);
+    committed[i].store(v, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(stale_reads.load(), 0u);
+  EXPECT_EQ(errors.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GT(checkpoints.load(), 0u);
+  EXPECT_GT(e->cache_stats().evictions, 0u);
+  // Cold check: after a final checkpoint every page reads back from the
+  // data file with its last committed value.
+  ASSERT_OK(e->Checkpoint());
+  e->buffer_pool().DropAllUnpinned();
+  ASSERT_OK(e->WithReadTxn([&](ReadTxn& txn) -> Status {
+    for (int i = 0; i < kPages; ++i) {
+      auto page = txn.Fetch(pages[i]);
+      if (!page.ok()) return page.status();
+      uint64_t head = 0;
+      std::memcpy(&head, page->data(), sizeof(head));
+      EXPECT_EQ(head, committed[i].load()) << "page " << i;
+    }
+    return Status::OK();
+  }));
 }
 
 // Regression test for the monitoring-counter data race the thread-safety
