@@ -57,10 +57,11 @@ void MeasureRecovery(int txns, int writes_per_txn) {
   ODE_CHECK(engine.ok());
   const RecoveryStats& stats = (*engine)->last_recovery();
   std::printf(
-      "recovery  txns=%-5d writes/txn=%-4d wal=%8.2f MiB  replayed=%-6llu "
-      "pages  reopen=%8.2f ms\n",
+      "recovery  txns=%-5d writes/txn=%-4d wal=%8.2f MiB  replayed "
+      "images=%-5llu deltas=%-6llu reopen=%8.2f ms\n",
       txns, writes_per_txn, wal_bytes / (1024.0 * 1024.0),
-      static_cast<unsigned long long>(stats.pages_replayed), reopen_ms);
+      static_cast<unsigned long long>(stats.images_replayed),
+      static_cast<unsigned long long>(stats.deltas_replayed), reopen_ms);
 }
 
 /// Measures checkpoint cost for a given number of dirty pages.

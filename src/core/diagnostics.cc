@@ -152,7 +152,8 @@ StatusOr<std::string> Database::DumpDiagnostics(std::string_view trigger) {
   w.BeginObject();
   w.KV("committed_txns", recovery.committed_txns);
   w.KV("discarded_txns", recovery.discarded_txns);
-  w.KV("pages_replayed", recovery.pages_replayed);
+  w.KV("images_replayed", recovery.images_replayed);
+  w.KV("deltas_replayed", recovery.deltas_replayed);
   w.KV("records_scanned", recovery.records_scanned);
   w.KV("tail_truncated", recovery.tail_truncated);
   w.EndObject();

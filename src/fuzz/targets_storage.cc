@@ -147,12 +147,16 @@ void ReplayWalFiles(const Slice& file0, const Slice& file1) {
   if (!wal.ok()) return;
   auto records = (*wal)->ReadAll();
   if (!records.ok()) return;
-  // Replay only when every page image targets a small page id: CRC-valid
+  // Replay only when every page record targets a small page id: CRC-valid
   // records are trusted by design (the corruption model is bit rot and torn
   // appends, which the CRC catches), so a huge page id here would just ask
   // MemEnv for a terabyte file — harness OOM, not a decoder defect.
   for (const WalRecord& r : *records) {
-    if (r.type == WalRecordType::kPageImage && r.page_id > 64) return;
+    if ((r.type == WalRecordType::kPageImage ||
+         r.type == WalRecordType::kPageDelta) &&
+        r.page_id > 64) {
+      return;
+    }
   }
   auto disk = DiskManager::Open(&env, "/fz/data.odb");
   if (!disk.ok()) return;
@@ -180,7 +184,7 @@ int WalReplay(const uint8_t* data, size_t size) {
                  Slice(bytes + body + split, size - body - split));
   // Phase 2: chunk the input and reframe each chunk with a CORRECT CRC so
   // the scan gets past the checksum gate and the record-level decode
-  // (type, txn id, page id, zero-suppressed image length) sees hostile
+  // (type, txn id, page id, image length, delta ranges) sees hostile
   // bytes it would otherwise never reach.  Each chunk's first byte picks
   // its file, so both files carry hostile txn ids into the ordering.
   std::string framed[2];

@@ -235,7 +235,7 @@ StatusOr<std::unique_ptr<StorageEngine>> StorageEngine::Open(
     engine->metrics_.RecordEvent(
         EventType::kRecovery, EventSeverity::kInfo,
         engine->recovery_.committed_txns, engine->recovery_.discarded_txns,
-        engine->recovery_.pages_replayed);
+        engine->recovery_.images_replayed + engine->recovery_.deltas_replayed);
   }
 
   StorageEngine* raw = engine.get();
@@ -437,12 +437,25 @@ Status StorageEngine::Commit(Txn* txn) ODE_NO_THREAD_SAFETY_ANALYSIS {
       // still under the latch: enqueue order = apply order, which is what
       // makes a crash-surviving WAL prefix a prefix of applied transactions.
       std::string blob;
+      std::vector<PageId> imaged;  // Pages first logged whole in this file.
+      size_t deltas = 0;
       Status s = [&]() -> Status {
         Wal::EncodeBegin(txn->id_, &blob);
         for (PageId pid : dirtied) {
           auto handle = pool_->Fetch(pid);
           if (!handle.ok()) return handle.status();
-          Wal::EncodePageImage(txn->id_, pid, handle->data(), &blob);
+          // A page's first record in each WAL file is its full image; after
+          // that, the bytes that differ from its state before this txn.
+          const auto undo = txn->undo_.find(pid);
+          if (full_logged_.count(pid) == 0 || undo == txn->undo_.end()) {
+            Wal::EncodePageImage(txn->id_, pid, handle->data(), &blob);
+            imaged.push_back(pid);
+          } else if (Wal::EncodePageChange(txn->id_, pid,
+                                           undo->second.image.data(),
+                                           handle->data(), &blob) ==
+                     WalRecordType::kPageDelta) {
+            ++deltas;
+          }
         }
         Wal::EncodeCommit(txn->id_, &blob);
         return Status::OK();
@@ -458,6 +471,9 @@ Status StorageEngine::Commit(Txn* txn) ODE_NO_THREAD_SAFETY_ANALYSIS {
         }
         return s;
       }
+      full_logged_.insert(imaged.begin(), imaged.end());
+      metrics_.wal_page_images->Add(dirtied.size() - deltas);
+      metrics_.wal_page_deltas->Add(deltas);
       ticket = group_commit_->Enqueue(std::move(blob), txn->id_,
                                       /*record_count=*/2 + dirtied.size(),
                                       /*needs_sync=*/sync_mode);
@@ -592,7 +608,10 @@ Status StorageEngine::Checkpoint() {
     // Roll only into an empty spare.  A non-empty spare is the old file of
     // a checkpoint whose write failed: its pages are still dirty, so this
     // checkpoint writes them and retires that file instead.
-    if (wal_->spare_empty()) wal_->Roll();
+    if (wal_->spare_empty()) {
+      wal_->Roll();
+      full_logged_.clear();  // The new file must open each page in full.
+    }
     latched_us = (Histogram::NowNanos() - latched_ns) / 1000;
   }
   // Outside the latch: readers and writers proceed while the copies reach

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "storage/buffer_pool.h"
@@ -131,9 +132,10 @@ struct StorageOptions {
 ///
 /// Implements PageIO so data structures running inside the transaction
 /// automatically get: undo capture on first modification of each page
-/// (enabling abort), and full-page redo logging at commit (enabling crash
-/// recovery).  Page allocation and freeing manipulate the superblock through
-/// the same mechanism, so allocation state is transactional too.
+/// (enabling abort), and redo logging at commit (enabling crash recovery):
+/// the bytes that differ from the undo image, or the full page where the
+/// WAL needs one.  Page allocation and freeing manipulate the superblock
+/// through the same mechanism, so allocation state is transactional too.
 class Txn : public PageIO {
  public:
   StatusOr<PageHandle> Fetch(PageId id) override;
@@ -251,10 +253,11 @@ class StorageEngine {
   /// queue instead).
   StatusOr<Txn*> Begin();
 
-  /// Commits: serializes Begin/PageImage/Commit records for every dirtied
-  /// page into one blob, enqueues it on the group-commit queue, releases the
-  /// apply latch, then blocks until the records are fsynced (kSync) or
-  /// appended (kAsync) — see CommitMode for the durability contract.
+  /// Commits: serializes a Begin record, one page record per dirtied page
+  /// and a Commit record into one blob, enqueues it on the group-commit
+  /// queue, releases the apply latch, then blocks until the records are
+  /// fsynced (kSync) or appended (kAsync) — see CommitMode for the
+  /// durability contract.
   Status Commit(Txn* txn);
 
   /// Rolls back: restores every dirtied page from its undo image, entirely
@@ -328,6 +331,9 @@ class StorageEngine {
     return checkpointer_passes_.load(std::memory_order_acquire);
   }
   BufferPool& buffer_pool() { return *pool_; }
+  /// Pages the active WAL file holds a full image of (see full_logged_).
+  /// For tests: call only while no transaction or checkpoint runs.
+  size_t full_logged_pages() const { return full_logged_.size(); }
 
   /// The engine's resolved instrument bundle (always valid — backed by
   /// StorageOptions::metrics or an engine-private registry).
@@ -399,6 +405,11 @@ class StorageEngine {
   Txn txn_;
   bool txn_open_ = false;
   uint64_t next_txn_id_ = 1;
+  /// Pages with a full image in the active WAL file, so their next commit
+  /// may log a kPageDelta (see Wal).  A page joins once a commit's blob
+  /// holding its image is serialized; the set empties when a checkpoint
+  /// rolls the WAL.  Touched only under the apply latch, like txn_.
+  std::unordered_set<PageId> full_logged_;
   RecoveryStats recovery_;
   /// Thread currently holding the apply latch for a write transaction
   /// (default-constructed id when none).  Lets Begin reject a same-thread

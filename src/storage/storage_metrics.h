@@ -27,6 +27,8 @@ struct StorageMetrics {
   Histogram* wal_append_ns = nullptr;
   Counter* wal_fsyncs = nullptr;
   Histogram* wal_fsync_ns = nullptr;
+  Counter* wal_page_images = nullptr;  ///< Pages logged whole (kPageImage).
+  Counter* wal_page_deltas = nullptr;  ///< Pages logged as byte ranges.
 
   // Transactions (engine level).
   Counter* txn_begins = nullptr;
@@ -100,6 +102,8 @@ struct StorageMetrics {
     wal_append_ns = registry->GetHistogram("wal.append_ns");
     wal_fsyncs = registry->GetCounter("wal.fsyncs");
     wal_fsync_ns = registry->GetHistogram("wal.fsync_ns");
+    wal_page_images = registry->GetCounter("wal.page_images");
+    wal_page_deltas = registry->GetCounter("wal.page_deltas");
     txn_begins = registry->GetCounter("txn.begins");
     txn_commits = registry->GetCounter("txn.commits");
     txn_aborts = registry->GetCounter("txn.aborts");

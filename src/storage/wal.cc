@@ -3,7 +3,9 @@
 #include <cassert>
 #include <cstring>
 #include <iterator>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "storage/storage_metrics.h"
 #include "util/byte_buffer.h"
@@ -38,6 +40,13 @@ void Frame(const std::string& payload, std::string* out) {
   out->append(payload);
 }
 
+/// Bytes of `image` up to its last non-zero byte: what a kPageImage stores.
+size_t EffectiveLength(const char* image) {
+  size_t effective = kPageSize;
+  while (effective > 0 && image[effective - 1] == '\0') --effective;
+  return effective;
+}
+
 }  // namespace
 
 void Wal::EncodeBegin(uint64_t txn_id, std::string* out) {
@@ -51,8 +60,7 @@ void Wal::EncodePageImage(uint64_t txn_id, PageId page_id, const char* image,
                           std::string* out) {
   // Trailing zeros are suppressed: pages are often half-empty (fresh
   // slotted pages, short B+tree nodes), and recovery pads them back.
-  size_t effective = kPageSize;
-  while (effective > 0 && image[effective - 1] == '\0') --effective;
+  const size_t effective = EffectiveLength(image);
 
   std::string payload;
   payload.reserve(1 + 10 + 4 + 5 + effective);
@@ -62,6 +70,57 @@ void Wal::EncodePageImage(uint64_t txn_id, PageId page_id, const char* image,
   PutVarint64(&payload, effective);
   payload.append(image, effective);
   Frame(payload, out);
+}
+
+WalRecordType Wal::EncodePageChange(uint64_t txn_id, PageId page_id,
+                                    const char* before, const char* after,
+                                    std::string* out) {
+  static_assert(kPageSize <= UINT16_MAX, "delta offsets and lengths are u16");
+  // Changed bytes as [begin, end) ranges.  A gap of at most kMaxRangeGap
+  // unchanged bytes joins the range before it: that costs at most a few
+  // bytes over a second 4-byte range header and keeps the list short.
+  std::vector<std::pair<size_t, size_t>> ranges;
+  for (size_t i = 0; i < kPageSize;) {
+    if (i + 8 <= kPageSize && std::memcmp(before + i, after + i, 8) == 0) {
+      i += 8;
+      continue;
+    }
+    if (before[i] == after[i]) {
+      ++i;
+      continue;
+    }
+    size_t end = i + 1;
+    while (end < kPageSize && before[end] != after[end]) ++end;
+    if (!ranges.empty() && i - ranges.back().second <= kMaxRangeGap) {
+      ranges.back().second = end;
+    } else {
+      ranges.emplace_back(i, end);
+    }
+    i = end;
+  }
+
+  // Both record kinds share the type, txn id and page id; compare the rest.
+  size_t delta_size = VarintLength(ranges.size());
+  for (const auto& [begin, end] : ranges) delta_size += 4 + (end - begin);
+  const size_t effective = EffectiveLength(after);
+  if (delta_size >= VarintLength(effective) + effective) {
+    EncodePageImage(txn_id, page_id, after, out);
+    return WalRecordType::kPageImage;
+  }
+
+  std::string payload;
+  payload.reserve(1 + 10 + 4 + delta_size);
+  payload.push_back(static_cast<char>(WalRecordType::kPageDelta));
+  PutVarint64(&payload, txn_id);
+  PutFixed32(&payload, page_id);
+  PutVarint64(&payload, ranges.size());
+  for (const auto& [begin, end] : ranges) {
+    PutFixed16(&payload, static_cast<uint16_t>(begin));
+    PutFixed16(&payload, static_cast<uint16_t>(end - begin));
+    payload.append(after + begin, end - begin);
+  }
+  Frame(payload, out);
+  return WalRecordType::kPageDelta;
 }
 
 void Wal::EncodeCommit(uint64_t txn_id, std::string* out) {
@@ -97,6 +156,13 @@ Status Wal::AppendPageImage(uint64_t txn_id, PageId page_id,
                             const char* image) {
   std::string framed;
   EncodePageImage(txn_id, page_id, image, &framed);
+  return AppendBlob(framed, 1);
+}
+
+Status Wal::AppendPageChange(uint64_t txn_id, PageId page_id,
+                             const char* before, const char* after) {
+  std::string framed;
+  EncodePageChange(txn_id, page_id, before, after, &framed);
   return AppendBlob(framed, 1);
 }
 
@@ -218,6 +284,36 @@ Status Wal::Scan(File* file, std::vector<WalRecord>* records,
         record.image.resize(kPageSize, '\0');
         break;
       }
+      case WalRecordType::kPageDelta: {
+        record.type = WalRecordType::kPageDelta;
+        uint32_t pid = 0;
+        uint64_t count = 0;
+        s = reader.ReadU32(&pid);
+        if (s.ok()) s = reader.ReadVarint64(&count);
+        // Every range takes at least its 4-byte header, which bounds
+        // `count` by the payload before anything is allocated.
+        if (s.ok() && count > reader.remaining() / 4) {
+          s = Status::Corruption("delta range count");
+        }
+        record.page_id = pid;
+        for (uint64_t i = 0; s.ok() && i < count; ++i) {
+          uint16_t range_offset = 0;
+          uint16_t range_len = 0;
+          Slice bytes;
+          s = reader.ReadU16(&range_offset);
+          if (s.ok()) s = reader.ReadU16(&range_len);
+          if (s.ok() && size_t{range_offset} + range_len > kPageSize) {
+            s = Status::Corruption("delta range past the page end");
+          }
+          if (s.ok()) s = reader.ReadRaw(range_len, &bytes);
+          if (s.ok()) record.ranges.push_back({range_offset, bytes.ToString()});
+        }
+        if (!s.ok() || reader.remaining() != 0) {
+          *tail_truncated = true;
+          return Status::OK();
+        }
+        break;
+      }
       default:
         *tail_truncated = true;
         return Status::OK();
@@ -230,7 +326,8 @@ Status Wal::Scan(File* file, std::vector<WalRecord>* records,
 }
 
 Status Wal::ScanInLogOrder(std::vector<WalRecord>* records,
-                           bool* tail_truncated, int* retire_first) {
+                           bool* tail_truncated, size_t* newer_begin,
+                           int* retire_first) {
   std::vector<WalRecord> scanned[2];
   bool torn[2] = {false, false};
   for (int i = 0; i < 2; ++i) {
@@ -252,6 +349,7 @@ Status Wal::ScanInLogOrder(std::vector<WalRecord>* records,
   // ends the log (records after the tear would replay over a gap), so then
   // the dropped newer file goes first and can never replay alone.
   *retire_first = torn[older] ? newer : older;
+  *newer_begin = records->size();
   if (!torn[older]) {
     records->insert(records->end(),
                     std::make_move_iterator(scanned[newer].begin()),
@@ -264,16 +362,19 @@ Status Wal::ScanInLogOrder(std::vector<WalRecord>* records,
 StatusOr<std::vector<WalRecord>> Wal::ReadAll() {
   std::vector<WalRecord> records;
   bool tail_truncated = false;
+  size_t newer_begin = 0;
   int retire_first = 0;
-  ODE_RETURN_IF_ERROR(ScanInLogOrder(&records, &tail_truncated, &retire_first));
+  ODE_RETURN_IF_ERROR(ScanInLogOrder(&records, &tail_truncated, &newer_begin,
+                                     &retire_first));
   return records;
 }
 
 StatusOr<RecoveryStats> Wal::Recover(DiskManager* disk) {
   std::vector<WalRecord> records;
   RecoveryStats stats;
-  ODE_RETURN_IF_ERROR(
-      ScanInLogOrder(&records, &stats.tail_truncated, &retire_first_));
+  size_t newer_begin = 0;
+  ODE_RETURN_IF_ERROR(ScanInLogOrder(&records, &stats.tail_truncated,
+                                     &newer_begin, &retire_first_));
   stats.records_scanned = records.size();
 
   std::set<uint64_t> committed;
@@ -287,20 +388,45 @@ StatusOr<RecoveryStats> Wal::Recover(DiskManager* disk) {
     if (committed.count(t) == 0) ++stats.discarded_txns;
   }
 
-  // Redo in log order: later images of the same page overwrite earlier ones,
-  // which is exactly the desired last-committed-writer-wins semantics.
-  for (const WalRecord& r : records) {
-    if (r.type == WalRecordType::kPageImage && committed.count(r.txn_id) > 0) {
-      ODE_RETURN_IF_ERROR(disk->WritePage(r.page_id, r.image.data()));
-      ++stats.pages_replayed;
+  // Redo in log order, in memory: a page is its latest full image patched
+  // by every later delta, which is last-committed-writer-wins.  `based`
+  // holds the pages the file being replayed has opened with a full image;
+  // a delta may only patch one of those, so no page depends on the data
+  // file or on a file that a checkpoint has retired.
+  std::map<PageId, std::string> pages;
+  std::set<PageId> based;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i == newer_begin) based.clear();
+    WalRecord& r = records[i];
+    if (committed.count(r.txn_id) == 0) continue;
+    if (r.type == WalRecordType::kPageImage) {
+      pages[r.page_id] = std::move(r.image);
+      based.insert(r.page_id);
+      ++stats.images_replayed;
+    } else if (r.type == WalRecordType::kPageDelta) {
+      if (based.count(r.page_id) == 0) {
+        return Status::Corruption(
+            "WAL delta for page " + std::to_string(r.page_id) +
+            " has no full image earlier in its file");
+      }
+      std::string& page = pages[r.page_id];
+      for (const WalRange& range : r.ranges) {
+        page.replace(range.offset, range.bytes.size(), range.bytes);
+      }
+      ++stats.deltas_replayed;
     }
   }
-  if (stats.pages_replayed > 0) {
+  for (const auto& [pid, image] : pages) {
+    ODE_RETURN_IF_ERROR(disk->WritePage(pid, image.data()));
+  }
+  if (!pages.empty()) {
     ODE_RETURN_IF_ERROR(disk->Sync());
   }
   ODE_LOG_INFO << "WAL recovery: " << stats.committed_txns
-               << " committed txns, " << stats.pages_replayed
-               << " pages replayed, " << stats.discarded_txns << " discarded";
+               << " committed txns, " << stats.images_replayed
+               << " page images and " << stats.deltas_replayed
+               << " page deltas replayed, " << pages.size()
+               << " pages written, " << stats.discarded_txns << " discarded";
   return stats;
 }
 

@@ -22,35 +22,54 @@ enum class WalRecordType : uint8_t {
   kBegin = 1,      ///< Transaction started.
   kPageImage = 2,  ///< Full after-image of one page.
   kCommit = 3,     ///< Transaction committed (durable once this is synced).
+  kPageDelta = 4,  ///< Changed byte ranges of one page, as after-images.
 };
 
-/// One decoded WAL record (page image records carry the page bytes).
+/// One changed byte range of a kPageDelta: the page's bytes at `offset`
+/// after the transaction.
+struct WalRange {
+  uint16_t offset = 0;
+  std::string bytes;
+};
+
+/// One decoded WAL record (page records carry the page id and bytes).
 struct WalRecord {
   WalRecordType type;
   uint64_t txn_id;
-  PageId page_id = kInvalidPageId;  // kPageImage only.
+  PageId page_id = kInvalidPageId;  // kPageImage and kPageDelta.
   std::string image;                // kPageImage only, kPageSize bytes.
+  std::vector<WalRange> ranges;     // kPageDelta only.
 };
 
 /// Statistics about a completed recovery pass.
 struct RecoveryStats {
   uint64_t committed_txns = 0;
   uint64_t discarded_txns = 0;  ///< Begun but never committed (crash victims).
-  uint64_t pages_replayed = 0;
+  uint64_t images_replayed = 0;  ///< Committed kPageImage records applied.
+  uint64_t deltas_replayed = 0;  ///< Committed kPageDelta records applied.
   uint64_t records_scanned = 0;
   bool tail_truncated = false;  ///< A torn/corrupt tail record was dropped.
 };
 
-/// Append-only redo log of full page after-images (trailing zeros of each
-/// image are suppressed on disk and re-padded during recovery), kept in two
-/// fixed files: `path` and the spare `path + ".1"`.  Both are created at
-/// Open; appends go to one of them (the active file) at a time.
+/// Append-only redo log of page after-images, kept in two fixed files:
+/// `path` and the spare `path + ".1"`.  Both are created at Open; appends go
+/// to one of them (the active file) at a time.
+///
+/// A page is logged either as a kPageImage (the whole page; trailing zeros
+/// are suppressed on disk and re-padded during recovery) or as a kPageDelta
+/// (the absolute after-image of each byte range the transaction changed).
+/// Absolute ranges keep redo idempotent, but a delta means nothing without
+/// the page it patches, so the log carries its own base: a page's first
+/// record in each file is a kPageImage.  Every file therefore replays alone,
+/// and recovery never reads the data file — which also repairs a data page
+/// torn by a checkpoint write, as PostgreSQL's full_page_writes does.
 ///
 /// Protocol (enforced by StorageEngine): every page a transaction modifies is
-/// logged as a kPageImage record, followed by kCommit, followed by Sync().
-/// Dirty pages reach the data file only at checkpoints, strictly after their
-/// commit record is durable — so recovery is pure redo: replay page images of
-/// committed transactions in log order and ignore everything else.
+/// logged as a kPageImage or kPageDelta record, followed by kCommit, followed
+/// by Sync().  Dirty pages reach the data file only at checkpoints, strictly
+/// after their commit record is durable — so recovery is pure redo: rebuild
+/// the pages of committed transactions from the log, in log order, and
+/// ignore everything else.
 ///
 /// A fuzzy checkpoint retires the log in two steps.  Under the engine's
 /// exclusive apply latch, after group commit has drained, Roll() switches
@@ -62,8 +81,9 @@ struct RecoveryStats {
 /// Log order across the two files: transaction ids only grow within one
 /// engine lifetime, and the engine empties both files after recovery, so
 /// the file whose first record has the smaller transaction id is the older
-/// one.  Recovery replays the older file, then the newer one; full-page redo
-/// makes replaying images the data file already holds harmless.
+/// one.  Recovery replays the older file, then the newer one; since each
+/// file opens every page with a full image, replaying pages the data file
+/// already holds is harmless.
 ///
 /// Record wire format:
 ///   u32 payload length | u32 masked CRC32C of payload | payload
@@ -77,21 +97,33 @@ class Wal {
 
   Status AppendBegin(uint64_t txn_id);
   Status AppendPageImage(uint64_t txn_id, PageId page_id, const char* image);
+  /// Logs the page change from `before` to `after` (see EncodePageChange).
+  Status AppendPageChange(uint64_t txn_id, PageId page_id, const char* before,
+                          const char* after);
   Status AppendCommit(uint64_t txn_id);
 
   // -- Group-commit support --------------------------------------------------
   //
   // A committing transaction serializes its whole record sequence (Begin,
-  // PageImages, Commit) into one pre-framed blob under the engine's apply
-  // latch, then hands the blob to the group-commit queue; the leader writes
-  // many blobs with one Append each and a single fsync.  Each Encode* call
-  // appends one fully framed record (identical wire format to the Append*
-  // methods above) to `*out`, so a recovered log cannot tell batched and
-  // unbatched commits apart.
+  // one page record per dirtied page, Commit) into one pre-framed blob
+  // under the engine's apply latch, then hands the blob to the group-commit
+  // queue; the leader writes many blobs with one Append each and a single
+  // fsync.  Each Encode* call appends one fully framed record (identical
+  // wire format to the Append* methods above) to `*out`, so a recovered log
+  // cannot tell batched and unbatched commits apart.
 
   static void EncodeBegin(uint64_t txn_id, std::string* out);
   static void EncodePageImage(uint64_t txn_id, PageId page_id,
                               const char* image, std::string* out);
+  /// Appends the record that takes page `page_id` from `before` to `after`:
+  /// a kPageDelta of the changed byte ranges (ranges at most kMaxRangeGap
+  /// bytes apart are merged), or a kPageImage of `after` when the delta
+  /// would not be smaller.  Returns the type appended.
+  static WalRecordType EncodePageChange(uint64_t txn_id, PageId page_id,
+                                        const char* before, const char* after,
+                                        std::string* out);
+  /// Unchanged bytes a delta range absorbs rather than start a new range.
+  static constexpr size_t kMaxRangeGap = 8;
   static void EncodeCommit(uint64_t txn_id, std::string* out);
 
   /// Appends a pre-framed blob of `record_count` records in one file write
@@ -124,8 +156,10 @@ class Wal {
   /// of what recovery already applied: never an older image over a newer.
   Status TruncateAll();
 
-  /// Replays committed transactions of both files, older file first, into
-  /// `disk`, then syncs it.
+  /// Rebuilds the pages of committed transactions from both files, older
+  /// file first, writes them into `disk`, then syncs it.  Never reads
+  /// `disk`: a kPageDelta whose page has no earlier committed kPageImage in
+  /// the same file is Corruption.
   StatusOr<RecoveryStats> Recover(DiskManager* disk);
 
   /// Decodes every well-formed record of both files in replay order (stops
@@ -171,9 +205,10 @@ class Wal {
                      bool* tail_truncated);
   /// Scans both files and concatenates them in log order (see class
   /// comment); a torn tail in the older file drops the newer one.  Sets
+  /// `*newer_begin` to the index of the newer file's first record and
   /// `*retire_first` to the index of the file TruncateAll must empty first.
   Status ScanInLogOrder(std::vector<WalRecord>* records, bool* tail_truncated,
-                        int* retire_first);
+                        size_t* newer_begin, int* retire_first);
 
   LogFile files_[2];
   /// Index of the file appends go to.  Changed only by Roll, which the

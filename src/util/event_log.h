@@ -55,7 +55,7 @@ enum class EventType : uint8_t {
   kPoison = 6,          ///< a=0; detail = cause status
   kFaultInjection = 7,  ///< a=op (FaultOp), b=countdown/crash flag
   kSlowOp = 8,          ///< a=duration_us, b=threshold_us; detail = op name
-  kRecovery = 9,        ///< a=committed_txns, b=discarded_txns, c=pages
+  kRecovery = 9,        ///< a=committed_txns, b=discarded_txns, c=page records
   kHealth = 10,         ///< a=state (0 ok / 1 degraded / 2 poisoned)
 };
 

@@ -30,6 +30,7 @@
 #include "storage/superblock.h"
 #include "storage/wal.h"
 #include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/event_log.h"
 #include "util/slice.h"
 
@@ -181,6 +182,44 @@ void WalSeeds() {
   // A torn newer file (crash mid-append after the roll).
   WriteSeed("wal_replay", "two-files-torn-newer",
             WalFiles(newer.substr(0, newer.size() - 7), older));
+
+  // Byte-range deltas.  A page's first record in each file is its full
+  // image; later commits log only the changed bytes.
+  std::string edited = image;
+  edited.replace(200, 8, "8 bytes!");
+  const auto delta = [&](uint64_t txn, ode::PageId page) {
+    std::string log;
+    ode::Wal::EncodeBegin(txn, &log);
+    ode::Wal::EncodePageChange(txn, page, image.data(), edited.data(), &log);
+    ode::Wal::EncodeCommit(txn, &log);
+    return log;
+  };
+  WriteSeed("wal_replay", "image-then-delta",
+            WalFiles(committed(1, 2) + delta(2, 2), ""));
+  WriteSeed("wal_replay", "two-files-each-own-image",
+            WalFiles(committed(1, 2) + delta(2, 2),
+                     committed(3, 2) + delta(4, 2)));
+  // Corrupt by the file rule: no image of the page earlier in its file.
+  WriteSeed("wal_replay", "delta-without-image", WalFiles(delta(1, 2), ""));
+  {
+    // One range runs past the page end: decodes as a torn tail.
+    std::string payload;
+    payload.push_back(static_cast<char>(ode::WalRecordType::kPageDelta));
+    ode::PutVarint64(&payload, 2);
+    ode::PutFixed32(&payload, 2);
+    ode::PutVarint64(&payload, 1);
+    ode::PutFixed16(&payload, ode::kPageSize - 4);
+    ode::PutFixed16(&payload, 8);
+    payload.append("past end");
+    std::string log = committed(1, 2);
+    ode::Wal::EncodeBegin(2, &log);
+    ode::PutFixed32(&log, static_cast<uint32_t>(payload.size()));
+    ode::PutFixed32(&log, ode::crc32c::Mask(ode::crc32c::Value(
+                              payload.data(), payload.size())));
+    log += payload;
+    ode::Wal::EncodeCommit(2, &log);
+    WriteSeed("wal_replay", "delta-range-past-page-end", WalFiles(log, ""));
+  }
 }
 
 // -- Pages ------------------------------------------------------------------

@@ -5,12 +5,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "storage/btree.h"
+#include "storage/fault_env.h"
+#include "storage/wal.h"
 #include "util/event_log.h"
 #include "tests/testing/util.h"
 
@@ -226,6 +229,73 @@ TEST_F(EngineTest, ManualCheckpointTruncatesWal) {
   EXPECT_GT(engine_->wal_bytes(), 0u);
   ASSERT_OK(engine_->Checkpoint());
   EXPECT_EQ(engine_->wal_bytes(), 0u);
+}
+
+// A page's first record in each WAL file is its full image, so every file
+// replays alone; after that a commit logs only the bytes it changed.
+TEST_F(EngineTest, FirstTouchAfterRollLogsFullImageThenDelta) {
+  const auto put = [&](const std::string& key) {
+    return engine_->WithTxn([&](Txn& txn) -> Status {
+      auto tree = BTree::Open(&txn, 4);
+      if (!tree.ok()) return tree.status();
+      return tree->Put(Slice(key), Slice(std::string(300, key[0])));
+    });
+  };
+  ASSERT_OK(put("a"));
+  EXPECT_GT(engine_->full_logged_pages(), 0u);
+  ASSERT_OK(engine_->Checkpoint());  // Rolls to the other, empty file.
+  EXPECT_EQ(engine_->full_logged_pages(), 0u);
+  const uint64_t deltas_before = engine_->metrics()->wal_page_deltas->value();
+  ASSERT_OK(put("b"));
+  ASSERT_OK(put("c"));
+
+  ASSERT_OK_AND_ASSIGN(auto wal, Wal::Open(&env_, "/db/wal.log"));
+  ASSERT_OK_AND_ASSIGN(auto records, wal->ReadAll());
+  std::map<uint64_t, std::vector<const WalRecord*>> pages_by_txn;
+  for (const WalRecord& r : records) {
+    if (r.type == WalRecordType::kPageImage ||
+        r.type == WalRecordType::kPageDelta) {
+      pages_by_txn[r.txn_id].push_back(&r);
+    }
+  }
+  ASSERT_EQ(pages_by_txn.size(), 2u);
+  const auto& first = pages_by_txn.begin()->second;
+  const auto& second = pages_by_txn.rbegin()->second;
+  ASSERT_FALSE(second.empty());
+  for (const WalRecord* r : first) {
+    EXPECT_EQ(r->type, WalRecordType::kPageImage) << "page " << r->page_id;
+  }
+  for (const WalRecord* r : second) {
+    EXPECT_EQ(r->type, WalRecordType::kPageDelta) << "page " << r->page_id;
+  }
+  EXPECT_EQ(engine_->metrics()->wal_page_deltas->value() - deltas_before,
+            second.size());
+}
+
+// A commit whose serialization fails aborts, so the page images its blob
+// already held never reach the WAL: none of its pages may count as logged
+// in full, or their next commit would log a delta with no base.
+TEST(EngineWalRuleTest, FailedSerializationMarksNoPageFullLogged) {
+  FaultInjectionEnv env(nullptr);
+  StorageOptions options;
+  options.env = &env;
+  options.path = "/db";
+  options.checkpoint_wal_bytes = 1ull << 40;  // Manual checkpoints only.
+  ASSERT_OK_AND_ASSIGN(auto engine, StorageEngine::Open(options));
+  ASSERT_OK(engine->Checkpoint());  // Rolls past the superblock bootstrap.
+  ASSERT_EQ(engine->full_logged_pages(), 0u);
+
+  ASSERT_OK_AND_ASSIGN(Txn * txn, engine->Begin());
+  ASSERT_OK(txn->AllocatePage().status());  // Dirties the superblock + 1.
+  // Serialization re-reads each dirtied frame: drop the frames so it reads
+  // the data file, and fail the second read, after the superblock's image
+  // is already in the blob.
+  engine->buffer_pool().DropAllUnpinned();
+  env.FailNth(FaultOp::kRead, 1, Status::IOError("injected read"),
+              /*sticky=*/false);
+  EXPECT_FALSE(engine->Commit(txn).ok());
+  EXPECT_EQ(engine->full_logged_pages(), 0u);
+  EXPECT_EQ(engine->metrics()->wal_page_images->value(), 1u);  // Bootstrap.
 }
 
 TEST_F(EngineTest, CheckpointMidTxnRejected) {

@@ -8,6 +8,8 @@
 #include "storage/env.h"
 #include "storage/fault_env.h"
 #include "tests/testing/util.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 
 namespace ode {
 namespace {
@@ -58,7 +60,7 @@ TEST_F(WalTest, RecoverAppliesCommittedTxn) {
 
   ASSERT_OK_AND_ASSIGN(RecoveryStats stats, wal_->Recover(disk_.get()));
   EXPECT_EQ(stats.committed_txns, 1u);
-  EXPECT_EQ(stats.pages_replayed, 1u);
+  EXPECT_EQ(stats.images_replayed, 1u);
   char buf[kPageSize];
   ASSERT_OK(disk_->ReadPage(3, buf));
   EXPECT_EQ(std::string(buf, 9), "committed");
@@ -73,7 +75,7 @@ TEST_F(WalTest, RecoverSkipsUncommittedTxn) {
   ASSERT_OK_AND_ASSIGN(RecoveryStats stats, wal_->Recover(disk_.get()));
   EXPECT_EQ(stats.committed_txns, 0u);
   EXPECT_EQ(stats.discarded_txns, 1u);
-  EXPECT_EQ(stats.pages_replayed, 0u);
+  EXPECT_EQ(stats.images_replayed, 0u);
   char buf[kPageSize];
   ASSERT_OK(disk_->ReadPage(3, buf));
   EXPECT_NE(std::string(buf, 5), "never");
@@ -107,7 +109,7 @@ TEST_F(WalTest, TornTailIsDropped) {
   ASSERT_OK_AND_ASSIGN(RecoveryStats stats, wal_->Recover(disk_.get()));
   EXPECT_TRUE(stats.tail_truncated);
   EXPECT_EQ(stats.committed_txns, 1u);
-  EXPECT_EQ(stats.pages_replayed, 1u);
+  EXPECT_EQ(stats.images_replayed, 1u);
 }
 
 TEST_F(WalTest, CorruptedRecordStopsScan) {
@@ -146,7 +148,7 @@ TEST_F(WalTest, ZeroSuppressionShrinksRecordsLosslessly) {
   EXPECT_GT(after_dense - after_sparse, kPageSize);  // Full image.
 
   ASSERT_OK_AND_ASSIGN(RecoveryStats stats, wal_->Recover(disk_.get()));
-  EXPECT_EQ(stats.pages_replayed, 2u);
+  EXPECT_EQ(stats.images_replayed, 2u);
   char buf[kPageSize];
   ASSERT_OK(disk_->ReadPage(1, buf));
   EXPECT_EQ(std::memcmp(buf, sparse.data(), kPageSize), 0);
@@ -179,7 +181,7 @@ TEST_F(WalTest, TruncateEmptiesLog) {
 TEST_F(WalTest, EmptyLogRecoversCleanly) {
   ASSERT_OK_AND_ASSIGN(RecoveryStats stats, wal_->Recover(disk_.get()));
   EXPECT_EQ(stats.records_scanned, 0u);
-  EXPECT_EQ(stats.pages_replayed, 0u);
+  EXPECT_EQ(stats.images_replayed, 0u);
   EXPECT_FALSE(stats.tail_truncated);
 }
 
@@ -265,6 +267,187 @@ TEST_F(WalTest, TornOlderFileDropsTheNewerFile) {
   char buf[kPageSize];
   ASSERT_OK(disk_->ReadPage(3, buf));
   EXPECT_EQ(std::string(buf, 4), "kept");
+}
+
+// -- Byte-range deltas -------------------------------------------------------
+
+/// Encodes the change from `before` to `after` as one record, decodes it
+/// back through a log, and returns it.
+WalRecord RoundTrip(const std::string& before, const std::string& after,
+                    WalRecordType* encoded_as) {
+  MemEnv env;
+  auto wal = Wal::Open(&env, "/wal");
+  EXPECT_TRUE(wal.ok());
+  std::string framed;
+  *encoded_as = Wal::EncodePageChange(1, 9, before.data(), after.data(),
+                                      &framed);
+  EXPECT_OK((*wal)->AppendBlob(framed, 1));
+  auto records = (*wal)->ReadAll();
+  EXPECT_TRUE(records.ok());
+  EXPECT_EQ(records->size(), 1u);
+  return records->empty() ? WalRecord{} : std::move(records->front());
+}
+
+/// Applies a decoded page record to `page`, as recovery does.
+std::string Apply(std::string page, const WalRecord& record) {
+  if (record.type == WalRecordType::kPageImage) return record.image;
+  for (const WalRange& range : record.ranges) {
+    page.replace(range.offset, range.bytes.size(), range.bytes);
+  }
+  return page;
+}
+
+TEST(WalDeltaTest, RangesAtBothPageEndsRoundTrip) {
+  const std::string before = PageWith("some page content");
+  std::string after = before;
+  after[0] = 'S';
+  after[kPageSize - 1] = 'z';
+  WalRecordType type;
+  const WalRecord record = RoundTrip(before, after, &type);
+  ASSERT_EQ(type, WalRecordType::kPageDelta);
+  EXPECT_EQ(record.type, WalRecordType::kPageDelta);
+  EXPECT_EQ(record.page_id, 9u);
+  ASSERT_EQ(record.ranges.size(), 2u);
+  EXPECT_EQ(record.ranges[0].offset, 0u);
+  EXPECT_EQ(record.ranges[0].bytes, "S");
+  EXPECT_EQ(record.ranges[1].offset, kPageSize - 1);
+  EXPECT_EQ(record.ranges[1].bytes, "z");
+  EXPECT_EQ(Apply(before, record), after);
+}
+
+TEST(WalDeltaTest, NeighbouringRangesMergeAcrossShortGaps) {
+  const std::string before(kPageSize, 'a');
+  std::string after = before;
+  after[100] = 'b';
+  after[100 + Wal::kMaxRangeGap + 1] = 'c';   // Gap of kMaxRangeGap: merged.
+  after[100 + 2 * Wal::kMaxRangeGap + 3] = 'd';  // Gap one longer: not.
+  WalRecordType type;
+  const WalRecord record = RoundTrip(before, after, &type);
+  ASSERT_EQ(type, WalRecordType::kPageDelta);
+  ASSERT_EQ(record.ranges.size(), 2u);
+  EXPECT_EQ(record.ranges[0].offset, 100u);
+  EXPECT_EQ(record.ranges[0].bytes.size(), Wal::kMaxRangeGap + 2);
+  EXPECT_EQ(record.ranges[1].offset, 100 + 2 * Wal::kMaxRangeGap + 3);
+  EXPECT_EQ(Apply(before, record), after);
+}
+
+TEST(WalDeltaTest, UnchangedPageLogsAnEmptyDelta) {
+  const std::string page(kPageSize, 'q');
+  WalRecordType type;
+  const WalRecord record = RoundTrip(page, page, &type);
+  ASSERT_EQ(type, WalRecordType::kPageDelta);
+  EXPECT_TRUE(record.ranges.empty());
+  EXPECT_EQ(Apply(page, record), page);
+}
+
+TEST(WalDeltaTest, DenseEditFallsBackToAFullImage) {
+  const std::string before(kPageSize, 'a');
+  std::string after = before;
+  // Every other byte: ranges cannot merge into less than the page itself.
+  for (size_t i = 0; i < kPageSize; i += 2) after[i] = 'b';
+  WalRecordType type;
+  const WalRecord record = RoundTrip(before, after, &type);
+  EXPECT_EQ(type, WalRecordType::kPageImage);
+  EXPECT_EQ(record.type, WalRecordType::kPageImage);
+  EXPECT_EQ(record.image, after);
+}
+
+TEST(WalDeltaTest, SmallEditLogsFarLessThanTheImage) {
+  std::string before(kPageSize, 'a');
+  std::string after = before;
+  after.replace(2000, 8, "8 bytes!");
+  std::string delta;
+  std::string image;
+  Wal::EncodePageChange(1, 9, before.data(), after.data(), &delta);
+  Wal::EncodePageImage(1, 9, after.data(), &image);
+  EXPECT_LT(delta.size(), 40u);
+  EXPECT_GT(image.size(), kPageSize);
+}
+
+/// Frames `payload` as one CRC-valid record.
+std::string Framed(const std::string& payload) {
+  std::string out;
+  PutFixed32(&out, static_cast<uint32_t>(payload.size()));
+  PutFixed32(&out, crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
+  return out + payload;
+}
+
+TEST_F(WalTest, RangePastThePageEndIsATornTail) {
+  AppendTxn(wal_.get(), 1, 3, "kept");
+  std::string payload;
+  payload.push_back(static_cast<char>(WalRecordType::kPageDelta));
+  PutVarint64(&payload, 2);
+  PutFixed32(&payload, 3);
+  PutVarint64(&payload, 1);
+  PutFixed16(&payload, kPageSize - 2);
+  PutFixed16(&payload, 4);
+  payload.append("late");
+  ASSERT_OK(wal_->AppendBlob(Framed(payload), 1));
+  ASSERT_OK(wal_->AppendCommit(2));
+
+  ASSERT_OK_AND_ASSIGN(RecoveryStats stats, wal_->Recover(disk_.get()));
+  EXPECT_TRUE(stats.tail_truncated);
+  EXPECT_EQ(stats.records_scanned, 3u);
+  EXPECT_EQ(stats.deltas_replayed, 0u);
+}
+
+TEST_F(WalTest, RecoveryAppliesImageThenDeltasInLogOrder) {
+  const std::string v1 = PageWith("version one");
+  std::string v2 = v1;
+  v2.replace(8, 3, "TWO");
+  std::string v3 = v2;
+  v3.replace(0, 7, "VERSION");
+  v3[kPageSize - 1] = '!';
+  ASSERT_OK(wal_->AppendBegin(1));
+  ASSERT_OK(wal_->AppendPageImage(1, 4, v1.data()));
+  ASSERT_OK(wal_->AppendCommit(1));
+  ASSERT_OK(wal_->AppendBegin(2));
+  ASSERT_OK(wal_->AppendPageChange(2, 4, v1.data(), v2.data()));
+  ASSERT_OK(wal_->AppendCommit(2));
+  ASSERT_OK(wal_->AppendBegin(3));
+  ASSERT_OK(wal_->AppendPageChange(3, 4, v2.data(), v3.data()));
+  ASSERT_OK(wal_->AppendCommit(3));
+  // Uncommitted: its delta must not apply.
+  std::string v4 = v3;
+  v4.replace(0, 4, "XXXX");
+  ASSERT_OK(wal_->AppendBegin(4));
+  ASSERT_OK(wal_->AppendPageChange(4, 4, v3.data(), v4.data()));
+
+  ASSERT_OK_AND_ASSIGN(RecoveryStats stats, wal_->Recover(disk_.get()));
+  EXPECT_EQ(stats.images_replayed, 1u);
+  EXPECT_EQ(stats.deltas_replayed, 2u);
+  EXPECT_EQ(stats.discarded_txns, 1u);
+  char buf[kPageSize];
+  ASSERT_OK(disk_->ReadPage(4, buf));
+  EXPECT_EQ(std::string(buf, kPageSize), v3);
+}
+
+TEST_F(WalTest, DeltaWithoutAFullImageIsCorruption) {
+  const std::string before(kPageSize, 'p');
+  std::string after = before;
+  after[7] = 'q';
+  ASSERT_OK(wal_->AppendBegin(1));
+  ASSERT_OK(wal_->AppendPageChange(1, 4, before.data(), after.data()));
+  ASSERT_OK(wal_->AppendCommit(1));
+  auto stats = wal_->Recover(disk_.get());
+  EXPECT_TRUE(stats.status().IsCorruption()) << stats.status();
+}
+
+// The base must be in the same file: a full image in the older file does
+// not cover a delta in the newer one, which a checkpoint may outlive.
+TEST_F(WalTest, DeltaWhoseImageIsInTheOtherFileIsCorruption) {
+  const std::string before(kPageSize, 'p');
+  std::string after = before;
+  after[7] = 'q';
+  ASSERT_OK(wal_->AppendBegin(1));
+  ASSERT_OK(wal_->AppendPageImage(1, 4, before.data()));
+  ASSERT_OK(wal_->AppendCommit(1));
+  wal_->Roll();
+  ASSERT_OK(wal_->AppendBegin(2));
+  ASSERT_OK(wal_->AppendPageChange(2, 4, before.data(), after.data()));
+  ASSERT_OK(wal_->AppendCommit(2));
+  auto stats = wal_->Recover(disk_.get());
+  EXPECT_TRUE(stats.status().IsCorruption()) << stats.status();
 }
 
 // TruncateAll must never leave the older file behind alone: replayed by the

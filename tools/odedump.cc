@@ -156,10 +156,10 @@ int Check(ode::Database& db) {
 int Verify(ode::Database& db) {
   const ode::RecoveryStats& rec = db.storage().last_recovery();
   std::printf("recovery: %" PRIu64 " committed txns replayed, %" PRIu64
-              " uncommitted discarded, %" PRIu64 " pages, %" PRIu64
-              " records scanned%s\n",
-              rec.committed_txns, rec.discarded_txns, rec.pages_replayed,
-              rec.records_scanned,
+              " uncommitted discarded, %" PRIu64 " page images, %" PRIu64
+              " page deltas, %" PRIu64 " records scanned%s\n",
+              rec.committed_txns, rec.discarded_txns, rec.images_replayed,
+              rec.deltas_replayed, rec.records_scanned,
               rec.tail_truncated ? ", torn WAL tail truncated" : "");
 
   uint64_t violations = 0;
