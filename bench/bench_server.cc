@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
   }
 
   // In-process server on a MemEnv database: the numbers measure the wire
-  // stack (codec, dispatcher, epoll loop, worker pool) plus the in-memory
+  // stack (codec, dispatcher, epoll event loops) plus the in-memory
   // engine, with real TCP loopback sockets in between.
   ode::bench::BenchDb handle = ode::bench::OpenBenchDb();
   const uint32_t type_id = ode::bench::RawType(*handle);

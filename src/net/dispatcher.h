@@ -17,9 +17,9 @@ namespace net {
 /// Per-connection server-side state: the cursors a session has open, and
 /// whether it holds the (database-wide, session-exclusive) transaction.
 ///
-/// A Session is single-threaded BY CONTRACT: the server pins each connection
-/// to one worker thread (src/net/server.cc), the loopback transport runs on
-/// its caller's thread.  This matters twice over — catalog cursors are
+/// A Session is single-threaded BY CONTRACT: the server runs each
+/// connection's requests on the one event loop that owns it
+/// (src/net/server.cc), the loopback transport runs on its caller's thread.  This matters twice over — catalog cursors are
 /// single-threaded objects, and Database transactions are thread-affine
 /// (Begin/operations/Commit must share a thread), so session->thread
 /// affinity is exactly what makes txn-over-the-wire sound.

@@ -12,7 +12,7 @@ namespace ode {
 /// creation time".  The library only requires the timestamp source to be
 /// monotonically non-decreasing per database, so tests inject a
 /// LogicalClock for full determinism while production uses WallClock.
-/// Concurrent writers (striped write latches, the server's worker pool)
+/// Concurrent writers (striped write latches, the server's event loops)
 /// tick the clock from many threads, so Now() must be thread-safe.
 class Clock {
  public:

@@ -1,13 +1,16 @@
 // ode_server over real sockets: lifecycle, pipelining, per-session
 // transaction affinity, backpressure shedding, and multi-connection load.
-// The *Concurrent* tests double as the TSan workout for the worker pool
-// (CI runs this binary under -fsanitize=thread via `ctest -R Concurrent`).
+// CI also runs this binary under -fsanitize=thread (`ctest -L net`), so
+// parking, teardown, shedding and Stop are checked on the event-loop
+// threads; the *Concurrent* tests are the multi-client stress among them.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -50,6 +53,16 @@ class ServerTest : public testing_internal::DatabaseFixture {
 
   std::unique_ptr<Server> server_;
 };
+
+// Polls `done` for up to 5 s: a regression fails the test instead of
+// hanging it.
+template <typename Pred>
+bool Eventually(Pred done) {
+  for (int i = 0; i < 500 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return done();
+}
 
 TEST_F(ServerTest, OptionsValidateRejectsBadKnobs) {
   ServerOptions options;
@@ -202,7 +215,7 @@ TEST_F(ServerTest, ProtocolGarbageGetsTypedErrorThenClose) {
 }
 
 TEST_F(ServerTest, PipelineCapShedsWithBackpressure) {
-  // One worker + a transaction holding it: requests from a second
+  // One loop + a transaction holding it: requests from a second
   // connection park unanswered, so its pipeline fills deterministically.
   ServerOptions options;
   options.workers = 1;
@@ -223,12 +236,12 @@ TEST_F(ServerTest, PipelineCapShedsWithBackpressure) {
   }
   ASSERT_OK(flooder->Flush());
   // First response on the flooded connection is the shed error (the parked
-  // pings can't be answered while the txn pins the worker).
+  // pings can't be answered while the txn holds the loop's gate).
   Response resp;
   ASSERT_OK(flooder->Recv(&resp));
   EXPECT_EQ(resp.status, WireStatus::kBackpressure) << resp.message;
 
-  // Release the worker; the holder's session still works end to end.
+  // Release the loop; the holder's session still works end to end.
   ASSERT_OK_AND_ASSIGN(const VersionId vid,
                        holder->Pnew(type_id_, "inside txn"));
   ASSERT_OK(holder->TxnCommit());
@@ -238,7 +251,7 @@ TEST_F(ServerTest, PipelineCapShedsWithBackpressure) {
 }
 
 TEST_F(ServerTest, TransactionAffinityParksOtherSessions) {
-  // Both connections land on the single worker.  While A holds the txn,
+  // Both connections land on the single loop.  While A holds the txn,
   // B's request must NOT execute inside it (it parks until commit) — B's
   // pnew lands after A's commit and both objects survive.
   ServerOptions options;
@@ -286,7 +299,7 @@ TEST_F(ServerTest, DisconnectAbortsTheSessionsTransaction) {
   }
   auto fresh = MustConnect();
   ASSERT_NE(fresh, nullptr);
-  // The abort runs on the worker asynchronously; poll until it lands.
+  // The abort runs on the loop asynchronously; poll until it lands.
   Status last;
   for (int i = 0; i < 200; ++i) {
     last = fresh->DerefLatest(ObjectId{doomed}).status();
@@ -307,9 +320,9 @@ TEST_F(ServerTest, StatsReflectServerTraffic) {
 }
 
 TEST_F(ServerTest, ConcurrentClientsHammerTheWorkerPool) {
-  // >= 4 concurrent connections doing mixed reads/writes across 4 workers:
-  // the acceptance-criteria load shape, and the TSan target for the queue /
-  // outbox / txn-gate handoffs.
+  // >= 4 concurrent connections doing mixed reads/writes across 4 loops:
+  // the acceptance-criteria load shape, and the TSan target for the accept
+  // hand-off and the loops' shared Database.
   StartServer();
   constexpr int kClients = 6;
   constexpr int kOpsPerClient = 120;
@@ -360,8 +373,8 @@ TEST_F(ServerTest, ConcurrentClientsHammerTheWorkerPool) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  // The IO thread reaps a connection when epoll delivers the hang-up, which
-  // lags the client-side close; poll instead of asserting instantly.
+  // A loop reaps a connection when epoll delivers the hang-up, which lags
+  // the client-side close; poll instead of asserting instantly.
   for (int i = 0; i < 200 && server_->open_connections() != 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -369,10 +382,10 @@ TEST_F(ServerTest, ConcurrentClientsHammerTheWorkerPool) {
 }
 
 TEST_F(ServerTest, ConcurrentPipelinedMixWithTransactions) {
-  // Pipelined readers racing transactional writers across every worker;
+  // Pipelined readers racing transactional writers across every loop;
   // exercises parking/unparking under churn.  TSan leg covers the handoffs.
   ServerOptions options;
-  options.workers = 2;  // Forces sessions to share workers.
+  options.workers = 2;  // Forces sessions to share loops.
   StartServer(options);
 
   ASSERT_OK_AND_ASSIGN(const VersionId seed,
@@ -448,6 +461,95 @@ TEST_F(ServerTest, StopAnswersInFlightWithShuttingDownOrCloses) {
         << static_cast<int>(resp.status) << " " << resp.message;
   }
   server_.reset();
+}
+
+TEST_F(ServerTest, ConcurrentOtherLoopAnswersWhileATransactionParks) {
+  // Loop 0 deals connections round-robin from itself: A -> loop 0,
+  // B -> loop 1, C -> loop 0.  A's transaction parks C's work on loop 0
+  // only; loop 1 keeps answering.
+  ServerOptions options;
+  options.workers = 2;
+  StartServer(options);
+  auto a = MustConnect();
+  ASSERT_NE(a, nullptr);
+  ASSERT_OK(a->Ping());
+  auto b = MustConnect();
+  ASSERT_NE(b, nullptr);
+  ASSERT_OK(b->Ping());
+  auto c = MustConnect();
+  ASSERT_NE(c, nullptr);
+  ASSERT_OK(c->Ping());
+  const Gauge* parked =
+      db_->metrics_registry().GetGauge("server.parked_requests");
+
+  ASSERT_OK(a->TxnBegin());
+  Request ping;
+  ASSERT_OK(c->Send(ping));
+  ASSERT_OK(c->Flush());
+  ASSERT_TRUE(Eventually([&] { return parked->value() == 1; }));
+
+  auto b_ping = std::async(std::launch::async, [&] { return b->Ping(); });
+  const bool b_answered = b_ping.wait_for(std::chrono::seconds(5)) ==
+                          std::future_status::ready;
+  EXPECT_EQ(parked->value(), 1) << "C's ping must wait for A's commit";
+
+  ASSERT_OK(a->TxnCommit());  // Also frees B had it shared A's loop.
+  EXPECT_TRUE(b_answered) << "the other loop waited on A's transaction";
+  EXPECT_OK(b_ping.get());
+  auto answer = std::async(std::launch::async, [&] {
+    Response resp;
+    Status s = c->Recv(&resp);
+    return s.ok() ? resp.status : WireStatus::kProtocolError;
+  });
+  ASSERT_EQ(answer.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  EXPECT_EQ(answer.get(), WireStatus::kOk);
+  EXPECT_EQ(parked->value(), 0);
+}
+
+TEST_F(ServerTest, ConcurrentClosedConnectionsParkedTxnBeginNeverRuns) {
+  // A closed client's parked TxnBegin must die with it: replayed after A's
+  // commit it would open a transaction no client can end, and every read
+  // on every loop would wait behind it.  Placement as above: A and C on
+  // loop 0, B on loop 1.
+  ServerOptions options;
+  options.workers = 2;
+  StartServer(options);
+  auto a = MustConnect();
+  ASSERT_NE(a, nullptr);
+  ASSERT_OK(a->Ping());
+  auto b = MustConnect();
+  ASSERT_NE(b, nullptr);
+  ASSERT_OK(b->Ping());
+  auto c = MustConnect();
+  ASSERT_NE(c, nullptr);
+  ASSERT_OK(c->Ping());
+  ASSERT_OK_AND_ASSIGN(const VersionId vid, b->Pnew(type_id_, "readable"));
+  const Gauge* parked =
+      db_->metrics_registry().GetGauge("server.parked_requests");
+
+  ASSERT_OK(a->TxnBegin());
+  Request begin;
+  begin.op = OpCode::kTxnBegin;
+  ASSERT_OK(c->Send(begin));
+  ASSERT_OK(c->Flush());
+  ASSERT_TRUE(Eventually([&] { return parked->value() == 1; }));
+  c.reset();  // Disconnect with the TxnBegin still parked.
+  ASSERT_TRUE(Eventually([&] {
+    return server_->open_connections() == 2 && parked->value() == 0;
+  }));
+
+  ASSERT_OK(a->TxnCommit());
+  // Loop 0 answers A's ping only after whatever the commit released ran.
+  ASSERT_OK(a->Ping());
+  ASSERT_FALSE(db_->InTransaction()) << "the closed client's TxnBegin ran";
+
+  auto read = std::async(std::launch::async,
+                         [&] { return b->DerefLatest(vid.oid); });
+  ASSERT_EQ(read.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  ASSERT_OK_AND_ASSIGN(const std::string payload, read.get());
+  EXPECT_EQ(payload, "readable");
 }
 
 }  // namespace

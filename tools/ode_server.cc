@@ -5,9 +5,12 @@
 //              [--max-pipeline N] [--print-port]
 //
 // Opens (creating if missing) the database at <db-path>, binds, and serves
-// until SIGINT/SIGTERM.  --port 0 picks an ephemeral port; --print-port
-// writes the bound port to stdout as a bare line (and flushes) so scripts
-// can connect without racing the log output.  DESIGN.md §4i documents the
+// until SIGINT/SIGTERM.  --workers sets the number of event loops (threads
+// that each run their own connections' requests to completion);
+// --max-pipeline caps the requests one connection may have parked behind
+// another session's transaction.  --port 0 picks an ephemeral port;
+// --print-port writes the bound port to stdout as a bare line (and flushes)
+// so scripts can connect without racing the log output.  DESIGN.md §4i documents the
 // protocol; ode_client is the matching CLI.
 
 #include <csignal>
@@ -25,7 +28,10 @@ namespace {
 
 constexpr char kUsage[] =
     "usage: ode_server <db-path> [--host H] [--port P] [--workers N]\n"
-    "                  [--max-pipeline N] [--print-port]\n";
+    "                  [--max-pipeline N] [--print-port]\n"
+    "  --workers N       event loops serving connections (default 4)\n"
+    "  --max-pipeline N  requests a connection may park behind another\n"
+    "                    session's transaction (default 256)\n";
 
 // async-signal-safe shutdown latch: the handler posts, main waits.
 sem_t g_shutdown;
@@ -86,7 +92,8 @@ int main(int argc, char** argv) {
     std::printf("%u\n", (*server)->port());
     std::fflush(stdout);
   }
-  std::fprintf(stderr, "ode_server: serving %s on %s:%u (%d workers)\n",
+  std::fprintf(stderr,
+               "ode_server: serving %s on %s:%u (%d event loops)\n",
                path.c_str(), options.host.c_str(), (*server)->port(),
                options.workers);
 
